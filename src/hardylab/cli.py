@@ -12,7 +12,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -60,21 +60,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text):
-        kv = {}
+        """Parse key=value lines; unknown keys and bad numbers raise ValueError."""
+        names = {f.name for f in fields(cls)}
+        parse = {"p": float, "q": float, "count": int, "seed": int}
+        kwargs = {}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-        kwargs = {}
-        for key, val in kv.items():
-            if key in ("p", "q"):
-                kwargs[key] = float(val)
-            elif key in ("count", "seed"):
-                kwargs[key] = int(val)
-            elif key in ("command", "domain", "function", "grid", "out"):
-                kwargs[key] = val
+            key, val = key.strip(), val.strip()
+            if key not in names:
+                raise ValueError(f"unknown config key {key!r}")
+            try:
+                kwargs[key] = parse.get(key, str)(val)
+            except ValueError:
+                raise ValueError(f"config key {key!r}: bad value {val!r}") from None
         return cls(**kwargs)
 
 
@@ -135,16 +136,17 @@ def emit_plot_data(sc, verdict, path):
         raise SystemExit(EXIT_CANTCREAT) from exc
 
 
-def _load_config_file(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+def _load_config(path):
+    """The ExperimentConfig of a --config file; a run reads only its seed."""
+    try:
+        with open(path) as fh:
+            cfg = ExperimentConfig.from_text(fh.read())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--config {path}: {exc}") from exc
+    unused = [k for k, v in vars(cfg).items() if k != "seed" and v not in (None, "")]
+    if unused:
+        raise UsageError(f"--config {path}: only seed is read, not {', '.join(unused)}")
+    return cfg
 
 
 def build_parser():
@@ -230,15 +232,14 @@ def build_parser():
 def _seed(args, file_cfg):
     if args.seed is not None:
         return args.seed
-    if "seed" in file_cfg:
-        return int(file_cfg["seed"])
+    if file_cfg.seed is not None:
+        return file_cfg.seed
     return int(os.environ.get("HARDY_LAB_SEED", "7"))
 
 
 def _quad_config(args, file_cfg):
     cfg = norms.QuadConfig(seed=_seed(args, file_cfg))
     if args.count is not None:
-        from dataclasses import replace
         cfg = replace(cfg, mc_count=args.count, level_count=args.count)
     return cfg
 
@@ -271,11 +272,11 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        file_cfg = _load_config(args.config) if args.config else ExperimentConfig()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
-    file_cfg = _load_config_file(args.config) if args.config else {}
     try:
         return _dispatch(args, file_cfg)
     except SystemExit as exc:
@@ -440,16 +441,7 @@ def _run_lemma(args, cfg):
     if args.id == "2.2":
         return [ex.verify_lemma_2_2(n=args.n, q=args.q, cfg=cfg)]
     if args.id == "2.5":
-        rep = ex.verify_local_bound(n=args.n, cfg=cfg)
-
-        class _Shim:  # LocalBoundReport exposes no .cases; adapt for CSV/exit
-            lemma_id = "2.5"
-            passed = rep.passed
-            cases = [ex.LemmaCase("complement bound", float(args.n), "In",
-                                  "In" if rep.passed else "Out",
-                                  rep.complement_verdict, rep.passed)]
-            summary_lines = rep.summary_lines
-        return [_Shim()]
+        return [ex.verify_local_bound(n=args.n, cfg=cfg)]
     if args.id == "3.1":
         return [ex.verify_lemma_3_1(lam_kind=args.lam, cfg=cfg)]
     if args.id == "4.2":

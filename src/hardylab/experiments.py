@@ -110,6 +110,8 @@ def verify_lemma_2_2(n=2, zeta=(1.0, 0.0), q=1.5, cfg=None, grid=None):
 
 @dataclass
 class LocalBoundReport:
+    lemma_id = "2.5"
+
     alpha: float
     bound: float
     measured_sup: float
@@ -122,6 +124,13 @@ class LocalBoundReport:
     def passed(self):
         return (self.measured_sup <= self.bound * 1.05
                 and self.cap_verdict.divergent)
+
+    @property
+    def cases(self):
+        """The report as one lemma case: the complement stays bounded (In)."""
+        return [LemmaCase("complement bound", float(self.config["n"]), "In",
+                          "In" if self.passed else "Out", self.complement_verdict,
+                          self.passed)]
 
     def summary_lines(self):
         return [

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import functions as fn
 from . import quadrature as quad
-from .geometry import Domain, Ellipsoid, Rescaled, UnitBall
+from .geometry import Domain, GeometryError, base_weights
 
 LN2 = math.log(2.0)
 GRID_FLOOR = 1e-9
@@ -157,30 +157,32 @@ def _point_seed(cfg, k):
 
 
 def _mc_guard(est, r, cfg):
-    if est.overflowed:
-        return est, "overflow"
+    """Flag of a sphere Monte Carlo estimate too noisy to trust near the boundary."""
     if 1.0 - r < cfg.mc_guard_depth and est.stderr > cfg.mc_guard_rel * max(abs(est.value), 1e-300):
-        return est, "failed: mc variance guard (stderr/value > 0.02 near boundary)"
-    return est, ""
+        return "failed: mc variance guard (stderr/value > 0.02 near boundary)"
+    return ""
 
 
-def _ball_level_scale(domain):
-    """c such that rho = c(|z|^2 - 1) when the level sets are spheres, else None."""
-    d = domain.defining
-    scale = 1.0
-    while isinstance(d, Rescaled):
-        scale *= d.c
-        d = d.base
-    if isinstance(d, UnitBall):
-        return scale
-    if isinstance(d, Ellipsoid) and all(a == 1.0 for a in d.a):
-        return scale
-    return None
-
-
-def _restrict_cap_threshold(center, restrict, R):
-    """Re-pairing threshold of {|R x - center| < radius} on the unit-sphere chart."""
-    return (R * R + 1.0 - restrict.radius ** 2) / (2.0 * R)
+def _zonal_ok(fspec, surface, cfg):
+    """Whether point_integral takes the deterministic zonal rule on ``surface``:
+    f is zonal, fast paths are on, the surface is a sphere up to scale, and
+    any cap or restriction is centered on the zonal center."""
+    zc = fn.zonal_center(fspec)
+    if zc is None or cfg.force_mc:
+        return False
+    if isinstance(surface, SphereSurface):
+        return True
+    if isinstance(surface, CapSurface):
+        return isinstance(zc, str) or np.allclose(zc, np.asarray(surface.center),
+                                                  atol=1e-12)
+    if isinstance(surface, LevelSurface):
+        bw = base_weights(surface.domain.defining)  # spheres: all weights 1
+        if bw is None or np.any(bw[0] != 1.0):
+            return False
+        U = surface.restrict
+        return U is None or (not isinstance(zc, str) and
+                             np.allclose(np.asarray(U.center), zc, atol=1e-12))
+    return False
 
 
 def _cap_indicator(surface):
@@ -190,129 +192,110 @@ def _cap_indicator(surface):
     return lambda Z: (np.linalg.norm(Z - c, axis=-1) < surface.radius).astype(float)
 
 
+def _zonal_integral(fspec, p, surface, x, cfg):
+    """(estimate, area factor) on the zonal path.
+
+    Every zonal surface is the region {Re lam > c} (or its complement) of a
+    sphere of radius R: c = -1 for the whole sphere, the chordal cap threshold
+    for a cap, the re-paired restriction for a ball level set.
+    """
+    R, factor, c, complement = x, 1.0, -1.0, False
+    if isinstance(surface, CapSurface):
+        c, complement = 1.0 - surface.radius ** 2 / 2.0, surface.complement
+    elif isinstance(surface, LevelSurface):
+        eps_eff = x / base_weights(surface.domain.defining)[1]
+        if eps_eff >= 1.0:
+            raise NormError("level set empty")
+        R = math.sqrt(1.0 - eps_eff)
+        factor = R ** (2 * surface.domain.n - 1)
+        if surface.restrict is not None:  # {|R x - center| < radius} as Re lam > c
+            c = (R * R + 1.0 - surface.restrict.radius ** 2) / (2.0 * R)
+    n = surface.domain.n if isinstance(surface, LevelSurface) else surface.n
+    gt = lambda lam: np.abs(fn.zonal_eval(fspec, R * lam)) ** p
+    if -1.0 < c < 1.0:
+        region = "complement" if complement else "cap"
+        return quad.integrate_zonal(gt, n, cfg.zonal, region=region, c=c), factor
+    if (c <= -1.0) == complement:  # the region is empty
+        return quad.IntegralEstimate(0.0, 0.0, 0, "zonal"), factor
+    return quad.integrate_zonal(gt, n, cfg.zonal), factor
+
+
+def _sphere_mc(fspec, p, surface, r, cfg, seed):
+    """Monte Carlo on the sphere or a cap of it: importance sampling around
+    the singular points inside the region, else uniform nodes."""
+    g = lambda Z: np.abs(fn.evaluate(fspec, r * Z)) ** p
+    centers = fn.singular_points(fspec)
+    depth = math.sqrt(2.0 * (1.0 - r))
+    if isinstance(surface, SphereSurface):
+        if centers:
+            return quad.integrate_sphere_importance(g, surface.n, centers, depth,
+                                                    cfg.mc_count, seed)
+        return quad.integrate_sphere(g, surface.n, cfg.mc_count, seed)
+    in_region = [c for c in centers
+                 if (np.linalg.norm(np.asarray(c) - np.asarray(surface.center))
+                     < surface.radius) != surface.complement]
+    if in_region:
+        cmask = _cap_indicator(surface)
+        return quad.integrate_sphere_importance(
+            lambda Z: g(Z) * cmask(Z), surface.n, in_region, depth, cfg.mc_count, seed)
+    return quad.integrate_cap(g, surface.center, surface.radius, surface.n,
+                              cfg.mc_count, seed, complement=surface.complement)
+
+
+def _level_mc(fspec, p, surface, eps, cfg, seed):
+    """Level-set rule of the surface's method, restricted to U if given."""
+    g = lambda Z: np.abs(fn.evaluate(fspec, Z)) ** p
+    U = surface.restrict
+    centers = [np.asarray(c, dtype=complex) for c in fn.singular_points(fspec)]
+    count = (cfg.thin_shell_proposals if surface.method == "thin-shell"
+             else cfg.level_count)
+    return quad.integrate_level_set(
+        g, surface.domain, eps, method=surface.method, count=count, seed=seed,
+        restrict=U.indicator if U is not None else None,
+        singular_center=centers[0] if centers else None,
+        restrict_ball=(U.center, U.radius) if U is not None else None)
+
+
+def _harmonic_integral(fspec, p, surface, eps):
+    """(estimate, area factor) of a harmonic kernel on a real level sphere."""
+    if not isinstance(fspec, fn.HarmonicKernel):
+        raise NormError("real level scans expect a harmonic kernel spec")
+    n = surface.n
+    R = math.sqrt(1.0 - eps)
+    gap = eps / (1.0 + R)  # 1 - R without cancellation
+    y = np.asarray(fspec.y, dtype=float)
+    if abs(np.linalg.norm(y) - 1.0) > 1e-9:
+        raise NormError("harmonic kernel pole must lie on the unit sphere")
+    expo = (n - 2) * p / 2.0
+    # |R x - y|^2 = (1-R)^2 + 2 R u in the gap variable u = 1 - x.y
+    G = lambda u: (gap * gap + 2.0 * R * u) ** (-expo)
+    u_hi = 2.0
+    if surface.restrict is not None:
+        if not np.allclose(np.asarray(surface.restrict.center), y, atol=1e-12):
+            raise NormError("harmonic restriction must be centered at the pole")
+        u_hi = (surface.restrict.radius ** 2 - gap * gap) / (2.0 * R)
+    return quad.integrate_real_zonal(G, n, u_hi=u_hi), R ** (n - 1)
+
+
 def point_integral(fspec, p, surface, xval, cfg, k=0):
     """One surface integral of |f|^p; returns (IntegralEstimate, flag)."""
-    if isinstance(surface, SphereSurface):
-        r = float(xval)
-        zc = fn.zonal_center(fspec)
-        if zc is not None and not cfg.force_mc:
-            gt = lambda lam: np.abs(fn.zonal_eval(fspec, r * lam)) ** p
-            est = quad.integrate_zonal(gt, surface.n, cfg.zonal)
-            return est, ("overflow" if est.overflowed else "")
-        g = lambda Z: np.abs(fn.evaluate(fspec, r * Z)) ** p
-        centers = fn.singular_points(fspec)
-        if centers:
-            est = quad.integrate_sphere_importance(
-                g, surface.n, centers, math.sqrt(2.0 * (1.0 - r)),
-                cfg.mc_count, _point_seed(cfg, k))
-        else:
-            est = quad.integrate_sphere(g, surface.n, cfg.mc_count, _point_seed(cfg, k))
-        return _mc_guard(est, r, cfg)
-
-    if isinstance(surface, CapSurface):
-        r = float(xval)
-        zc = fn.zonal_center(fspec)
-        aligned = zc is not None and (isinstance(zc, str) or
-                                      np.allclose(zc, np.asarray(surface.center), atol=1e-12))
-        if aligned and not cfg.force_mc:
-            c = 1.0 - surface.radius ** 2 / 2.0
-            gt = lambda lam: np.abs(fn.zonal_eval(fspec, r * lam)) ** p
-            if c <= -1.0:
-                region = "full" if not surface.complement else None
-                if region is None:
-                    return quad.IntegralEstimate(0.0, 0.0, 0, "zonal"), ""
-                est = quad.integrate_zonal(gt, surface.n, cfg.zonal)
-            else:
-                region = "complement" if surface.complement else "cap"
-                est = quad.integrate_zonal(gt, surface.n, cfg.zonal, region=region, c=c)
-            return est, ("overflow" if est.overflowed else "")
-        g = lambda Z: np.abs(fn.evaluate(fspec, r * Z)) ** p
-        centers = fn.singular_points(fspec)
-        in_region = [c for c in centers
-                     if (np.linalg.norm(np.asarray(c) - np.asarray(surface.center))
-                         < surface.radius) != surface.complement]
-        if in_region:
-            cmask = _cap_indicator(surface)
-            est = quad.integrate_sphere_importance(
-                lambda Z: g(Z) * cmask(Z), surface.n, in_region,
-                math.sqrt(2.0 * (1.0 - r)), cfg.mc_count, _point_seed(cfg, k))
-        else:
-            est = quad.integrate_cap(g, surface.center, surface.radius, surface.n,
-                                     cfg.mc_count, _point_seed(cfg, k),
-                                     complement=surface.complement)
-        return _mc_guard(est, r, cfg)
-
-    if isinstance(surface, LevelSurface):
-        eps = float(xval)
-        domain = surface.domain
-        n = domain.n
-        scale = _ball_level_scale(domain)
-        zc = fn.zonal_center(fspec)
-        if scale is not None and zc is not None and not cfg.force_mc:
-            eps_eff = eps / scale
-            if eps_eff >= 1.0:
-                raise NormError("level set empty")
-            R = math.sqrt(1.0 - eps_eff)
-            gt = lambda lam: np.abs(fn.zonal_eval(fspec, R * lam)) ** p
-            area_factor = R ** (2 * n - 1)
-            restrict = surface.restrict
-            if restrict is None:
-                est = quad.integrate_zonal(gt, n, cfg.zonal)
-            elif not isinstance(zc, str) and np.allclose(
-                    np.asarray(restrict.center), zc, atol=1e-12):
-                c = _restrict_cap_threshold(zc, restrict, R)
-                if c <= -1.0:
-                    est = quad.integrate_zonal(gt, n, cfg.zonal)
-                elif c >= 1.0:
-                    est = quad.IntegralEstimate(0.0, 0.0, 0, "zonal")
-                else:
-                    est = quad.integrate_zonal(gt, n, cfg.zonal, region="cap", c=c)
-            else:
-                est = None  # restriction not aligned with the zonal center
-            if est is not None:
-                est = quad.IntegralEstimate(est.value * area_factor,
-                                            est.stderr * area_factor,
-                                            est.count, est.method, est.overflowed)
-                return est, ("overflow" if est.overflowed else "")
-        g = lambda Z: np.abs(fn.evaluate(fspec, Z)) ** p
-        restrict = surface.restrict.indicator if surface.restrict is not None else None
-        restrict_ball = None
-        if surface.restrict is not None:
-            restrict_ball = (surface.restrict.center, surface.restrict.radius)
-        centers = [np.asarray(c, dtype=complex) for c in fn.singular_points(fspec)]
-        singular = centers[0] if centers else None
-        count = (cfg.thin_shell_proposals if surface.method == "thin-shell"
-                 else cfg.level_count)
-        est = quad.integrate_level_set(g, domain, eps, method=surface.method,
-                                       count=count, seed=_point_seed(cfg, k),
-                                       restrict=restrict, singular_center=singular,
-                                       restrict_ball=restrict_ball)
-        return est, ("overflow" if est.overflowed else "")
-
+    x = float(xval)
+    guarded = False
     if isinstance(surface, RealLevelSurface):
-        eps = float(xval)
-        if not isinstance(fspec, fn.HarmonicKernel):
-            raise NormError("real level scans expect a harmonic kernel spec")
-        n = surface.n
-        R = math.sqrt(1.0 - eps)
-        gap = eps / (1.0 + R)  # 1 - R without cancellation
-        y = np.asarray(fspec.y, dtype=float)
-        if abs(np.linalg.norm(y) - 1.0) > 1e-9:
-            raise NormError("harmonic kernel pole must lie on the unit sphere")
-        expo = (n - 2) * p / 2.0
-        # |R x - y|^2 = (1-R)^2 + 2 R u in the gap variable u = 1 - x.y
-        G = lambda u: (gap * gap + 2.0 * R * u) ** (-expo)
-        u_hi = 2.0
-        if surface.restrict is not None:
-            if not np.allclose(np.asarray(surface.restrict.center), y, atol=1e-12):
-                raise NormError("harmonic restriction must be centered at the pole")
-            u_hi = (surface.restrict.radius ** 2 - gap * gap) / (2.0 * R)
-        est = quad.integrate_real_zonal(G, n, u_hi=u_hi)
-        est = quad.IntegralEstimate(est.value * R ** (n - 1), est.stderr * R ** (n - 1),
-                                    est.count, est.method, est.overflowed)
-        return est, ("overflow" if est.overflowed else "")
-
-    raise NormError(f"unknown surface {surface!r}")
+        est, factor = _harmonic_integral(fspec, p, surface, x)
+    elif _zonal_ok(fspec, surface, cfg):
+        est, factor = _zonal_integral(fspec, p, surface, x, cfg)
+    elif isinstance(surface, LevelSurface):
+        est, factor = _level_mc(fspec, p, surface, x, cfg, _point_seed(cfg, k)), 1.0
+    elif isinstance(surface, (SphereSurface, CapSurface)):
+        est, factor = _sphere_mc(fspec, p, surface, x, cfg, _point_seed(cfg, k)), 1.0
+        guarded = True
+    else:
+        raise NormError(f"unknown surface {surface!r}")
+    est = replace(est, value=est.value * factor, stderr=est.stderr * factor)
+    if est.overflowed:
+        return est, "overflow"
+    return est, (_mc_guard(est, x, cfg) if guarded else "")
 
 
 def radial_integral(fspec, p, r, cfg=None, surface=None):
@@ -383,7 +366,8 @@ def scan(fspec, p, grid, surface, cfg=None):
     for i, (k, x) in enumerate(zip(ks, xs)):
         try:
             est, flag = point_integral(fspec, p, surface, x, cfg, k=int(k))
-        except Exception as exc:  # record and truncate per the scan contract
+        except (NormError, quad.QuadratureError, fn.FunctionError,
+                GeometryError) as exc:  # record and truncate per the scan contract
             flags[i] = f"failed: {exc}"
             for j in range(i + 1, len(xs)):
                 flags[j] = "truncated"
@@ -510,16 +494,9 @@ def membership_verdict(fspec, p, surface, grid=None, cfg=None):
 
 
 def _default_grid(fspec, surface, cfg):
-    if isinstance(surface, (LevelSurface,)):
+    if isinstance(surface, (LevelSurface, RealLevelSurface)):
         return LEVEL_GRID
-    if isinstance(surface, RealLevelSurface):
-        return LEVEL_GRID
-    zonal_ok = fn.zonal_center(fspec) is not None and not cfg.force_mc
-    if isinstance(surface, CapSurface):
-        zc = fn.zonal_center(fspec)
-        zonal_ok = zonal_ok and (isinstance(zc, str) or
-                                 np.allclose(zc, np.asarray(surface.center), atol=1e-12))
-    return RADIAL_ZONAL if zonal_ok else RADIAL_MC
+    return RADIAL_ZONAL if _zonal_ok(fspec, surface, cfg) else RADIAL_MC
 
 
 def local_scan_ball(fspec, p, center, radius, grid=None, cfg=None, complement=False):
@@ -631,10 +608,7 @@ def intersection_metric(f, g, mspec, grid=None, cfg=None, surface=None):
         return MetricResult(0.0, tail, ())
     surface = surface or SphereSurface(fn.ambient_dim(diff))
     if grid is None:
-        if fn.zonal_center(diff) is not None and not cfg.force_mc:
-            grid = RADIAL_ZONAL
-        else:
-            grid = RADIAL_MC
+        grid = _default_grid(diff, surface, cfg)
     value = 0.0
     uncertainty = tail
     terms = []

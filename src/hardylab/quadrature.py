@@ -47,10 +47,41 @@ class IntegralEstimate:
         return math.hypot(self.stderr, other.stderr)
 
 
-def _finish(total, stderr, count, method):
+def reduce_nodes(weights, vals, method, error=None):
+    """The one reduction of every rule: node weights and integrand values to
+    an IntegralEstimate, of value sum(weights * vals) unless ``error`` is "iid".
+
+    Non-finite integrand values, or a total beyond OVERFLOW_LIMIT, give an
+    overflowed estimate.  ``error`` is the sampling model of the nodes, which
+    fixes the stderr: None for a deterministic rule (zero); a tuple of slices
+    for independently sampled strata; an int for the proposal count of a
+    rejection-sampled rule; "iid" for independent draws, where each
+    weight * value estimates the whole integral, the value is their mean and
+    the stderr their ddof=1 deviation over sqrt(N).  A scalar iid weight
+    factors out of the mean, so a constant integrand integrates exactly.
+    """
+    weights = np.asarray(weights, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    count = np.broadcast(weights, vals).size
+    if not np.all(np.isfinite(vals)):
+        return IntegralEstimate(np.inf, np.inf, count, method, overflowed=True)
+    y = weights * vals
+    if error != "iid":
+        total = np.sum(y)
+    else:
+        total = weights * np.mean(vals) if weights.ndim == 0 else np.mean(y)
     if not np.isfinite(total) or abs(total) > OVERFLOW_LIMIT:
         return IntegralEstimate(np.inf, np.inf, count, method, overflowed=True)
-    return IntegralEstimate(float(total), float(stderr), count, method)
+    if error is None:
+        var = 0.0
+    elif error == "iid":
+        var = np.var(y, ddof=1) / count
+    elif isinstance(error, tuple):
+        var = sum(np.sum(y[sl] ** 2) - np.sum(y[sl]) ** 2 / y[sl].size
+                  for sl in error if y[sl].size > 1)
+    else:
+        var = np.sum(y ** 2) - total ** 2 / error
+    return IntegralEstimate(float(total), math.sqrt(max(var, 0.0)), count, method)
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +90,14 @@ def _finish(total, stderr, count, method):
 
 def sample_sphere(n, count, seed, stream=0):
     """Uniform points on the unit sphere of C^n via normalized Gaussians."""
-    rng = rng_stream(seed, 0x5F, stream)
-    g = rng.standard_normal((count, 2 * n))
+    return to_complex(_unit_gaussians(rng_stream(seed, 0x5F, stream), count, 2 * n))
+
+
+def _unit_gaussians(rng, count, d):
+    """``count`` uniform directions in R^d: normalized Gaussian draws."""
+    g = rng.standard_normal((count, d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return to_complex(g)
+    return g
 
 
 def integrate_sphere(g, n, count=100_000, seed=7, stream=0):
@@ -70,13 +105,7 @@ def integrate_sphere(g, n, count=100_000, seed=7, stream=0):
     if count < 100:
         raise QuadratureError("count must be >= 100")
     z = sample_sphere(n, count, seed, stream)
-    vals = np.asarray(g(z), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        return IntegralEstimate(np.inf, np.inf, count, "mc-sphere", overflowed=True)
-    area = sphere_area(n)
-    mean = vals.mean()
-    stderr = area * vals.std(ddof=1) / math.sqrt(count)
-    return _finish(area * mean, stderr, count, "mc-sphere")
+    return reduce_nodes(sphere_area(n), g(z), "mc-sphere", "iid")
 
 
 def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=7,
@@ -115,23 +144,13 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
     uniform_mask = comp >= J * M
     nu = int(uniform_mask.sum())
     if nu:
-        gsphere = rng.standard_normal((nu, d))
-        gsphere /= np.linalg.norm(gsphere, axis=1, keepdims=True)
-        pts[uniform_mask] = gsphere
+        pts[uniform_mask] = _unit_gaussians(rng, nu, d)
     for j in range(J):
-        basis = _complement_basis(xs[j])
         for m in range(M):
             sel = comp == j * M + m
             ns = int(sel.sum())
-            if ns == 0:
-                continue
-            u = _sample_band(a, u_lo[m], u_hi[m], ns, rng)
-            t = 2.0 * u - 1.0
-            gdir = rng.standard_normal((ns, d - 1))
-            gdir /= np.linalg.norm(gdir, axis=1, keepdims=True)
-            v = gdir @ basis.T
-            pts[sel] = t[:, None] * xs[j][None, :] + \
-                np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
+            if ns:
+                pts[sel] = _band_points(xs[j], u_lo[m], u_hi[m], ns, rng)
 
     # mixture density relative to the uniform one
     boost = np.full(count, 0.5)
@@ -142,14 +161,8 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
         contrib = np.where(in_range, 1.0 / fracs[band], 0.0)
         boost += 0.5 * contrib / (J * M)
 
-    z = to_complex(pts)
-    vals = np.asarray(g(z), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        return IntegralEstimate(np.inf, np.inf, count, "mc-importance", overflowed=True)
-    area = sphere_area(n)
-    y = area * vals / boost
-    stderr = y.std(ddof=1) / math.sqrt(count)
-    return _finish(y.mean(), stderr, count, "mc-importance")
+    return reduce_nodes(sphere_area(n) / boost, g(to_complex(pts)),
+                        "mc-importance", "iid")
 
 
 def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False,
@@ -163,29 +176,16 @@ def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False,
     """
     if radius <= 0:
         raise QuadratureError("empty cap")
-    d = 2 * n
-    a = (d - 1) / 2.0
     c = 1.0 - radius ** 2 / 2.0  # chordal radius -> cosine threshold
     u_c = np.clip((1.0 + c) / 2.0, 0.0, 1.0)
     u1, u2 = (0.0, u_c) if complement else (u_c, 1.0)
-    frac = _band_fraction(a, u1, u2)
+    frac = _band_fraction((2 * n - 1) / 2.0, u1, u2)
     if frac <= 0.0:
         return IntegralEstimate(0.0, 0.0, 0, "exact-empty")
     center = np.asarray(center, dtype=complex)
     xc = to_real(center / np.linalg.norm(center))
-    rng = rng_stream(seed, 0xCA9, stream)
-    u = _sample_band(a, u1, u2, count, rng)
-    t = 2.0 * u - 1.0
-    gdir = rng.standard_normal((count, d - 1))
-    gdir /= np.linalg.norm(gdir, axis=1, keepdims=True)
-    v = gdir @ _complement_basis(xc).T
-    x = t[:, None] * xc[None, :] + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
-    vals = np.asarray(g(to_complex(x)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        return IntegralEstimate(np.inf, np.inf, count, "mc-cap", overflowed=True)
-    measure = sphere_area(n) * frac
-    stderr = measure * vals.std(ddof=1) / math.sqrt(count)
-    return _finish(measure * vals.mean(), stderr, count, "mc-cap")
+    x = _band_points(xc, u1, u2, count, rng_stream(seed, 0xCA9, stream))
+    return reduce_nodes(sphere_area(n) * frac, g(to_complex(x)), "mc-cap", "iid")
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +246,21 @@ def _radial_interval(theta, c, mode):
     return (0.0, 1.0) if c >= 0.0 else None
 
 
+def _theta_nodes(grid, c=None):
+    """Angular nodes on panels with edges pi 2^-j, plus an edge at acos(c)
+    when the pairing threshold c cuts the disk."""
+    edges = [0.0] + [np.pi * 2.0 ** (-j) for j in range(grid.angular_panels, -1, -1)]
+    if c is not None and -1.0 < c < 1.0:
+        edges = sorted(set(edges) | {math.acos(c)})
+    return _nodes_on_panels(np.asarray(edges), grid.angular_nodes)
+
+
 @lru_cache(maxsize=64)
 def _zonal_nodes(n, grid, mode="full", c=None):
     """Flattened (lam, weight) arrays; weights calibrated against sigma(S^{2n-1})."""
     if n < 2:
         raise QuadratureError("zonal path requires n >= 2")
-    theta_edges = [0.0] + [np.pi * 2.0 ** (-j) for j in range(grid.angular_panels, -1, -1)]
-    if mode != "full" and c is not None and -1.0 < c < 1.0:
-        tc = math.acos(c)
-        theta_edges = sorted(set(theta_edges) | {tc})
-    theta, wtheta = _nodes_on_panels(np.asarray(theta_edges), grid.angular_nodes)
+    theta, wtheta = _theta_nodes(grid, None if mode == "full" else c)
 
     lam_parts, w_parts = [], []
     for th, wt in zip(theta, wtheta):
@@ -284,8 +289,7 @@ def _zonal_nodes(n, grid, mode="full", c=None):
 @lru_cache(maxsize=16)
 def _zonal_calibration(n, grid):
     """sigma(S^{2n-1}) divided by the full-grid estimate of the disk weight mass."""
-    theta_edges = [0.0] + [np.pi * 2.0 ** (-j) for j in range(grid.angular_panels, -1, -1)]
-    theta, wtheta = _nodes_on_panels(np.asarray(theta_edges), grid.angular_nodes)
+    theta, wtheta = _theta_nodes(grid)
     s_edges = _geometric_edges(0.0, 1.0, grid.radial_panels)
     s, ws = _nodes_on_panels(s_edges, grid.radial_nodes)
     mass = 2.0 * np.sum(wtheta) * np.sum(ws * s * (1.0 - s ** 2) ** (n - 2))
@@ -305,12 +309,7 @@ def integrate_zonal(gt, n, grid=None, region="full", c=None):
     """
     grid = grid or ZonalGrid()
     lam, w = _zonal_nodes(n, grid, region, None if region == "full" else float(c))
-    if lam.size == 0:
-        return IntegralEstimate(0.0, 0.0, 0, "zonal")
-    vals = np.asarray(gt(lam), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        return IntegralEstimate(np.inf, np.inf, lam.size, "zonal", overflowed=True)
-    return _finish(np.sum(w * vals), 0.0, lam.size, "zonal")
+    return reduce_nodes(w, gt(lam), "zonal")
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +364,7 @@ def integrate_real_zonal(G, d, u_hi=2.0, m=10):
     if u_hi <= 0.0:
         return IntegralEstimate(0.0, 0.0, 0, "exact-empty")
     u, w = _real_zonal_nodes(d, m, float(min(u_hi, 2.0)))
-    vals = np.asarray(G(u), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        return IntegralEstimate(np.inf, np.inf, u.size, "real-zonal", overflowed=True)
-    return _finish(np.sum(w * vals), 0.0, u.size, "real-zonal")
+    return reduce_nodes(w, G(u), "real-zonal")
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +376,8 @@ class SurfaceSampler:
     """Nodes and positive weights approximating integration over a hypersurface.
 
     ``strata`` slices group nodes into independently sampled strata for the
-    variance estimate; ``proposals`` records the total proposal count of a
-    rejection-sampled (thin-shell) rule.
+    variance estimate (None: one stratum); ``proposals`` records the total
+    proposal count of a rejection-sampled (thin-shell) rule.
     """
 
     surface: str
@@ -394,23 +390,10 @@ class SurfaceSampler:
     proposals: int = None
 
     def integrate(self, g):
-        vals = np.asarray(g(self.points), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            return IntegralEstimate(np.inf, np.inf, len(self.weights), self.method,
-                                    overflowed=True)
-        y = self.weights * vals
-        total = np.sum(y)
-        if self.proposals is not None:
-            var = np.sum(y ** 2) - total ** 2 / self.proposals
-        elif self.strata is not None:
-            var = 0.0
-            for sl in self.strata:
-                ys = y[sl]
-                if ys.size > 1:
-                    var += np.sum(ys ** 2) - np.sum(ys) ** 2 / ys.size
-        else:
-            var = np.sum(y ** 2) - total ** 2 / max(y.size, 1)
-        return _finish(total, math.sqrt(max(var, 0.0)), len(self.weights), self.method)
+        error = self.proposals
+        if error is None:
+            error = self.strata or (slice(None),)
+        return reduce_nodes(self.weights, g(self.points), self.method, error)
 
 
 def _complement_basis(xc):
@@ -455,6 +438,16 @@ def _ring_t_edges(d_star, max_rings=26):
     return np.concatenate([t, [1.0]])
 
 
+def _band_points(xc, u1, u2, count, rng):
+    """``count`` uniform points of S^{d-1} whose cosine to the unit vector xc
+    lies in (2 u1 - 1, 2 u2 - 1): the cosine by truncated Beta inversion, then
+    a uniform tangential direction, both drawn from ``rng`` in that order."""
+    d = xc.size
+    t = 2.0 * _sample_band((d - 1) / 2.0, u1, u2, count, rng) - 1.0
+    v = _unit_gaussians(rng, count, d - 1) @ _complement_basis(xc).T
+    return t[:, None] * xc[None, :] + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
+
+
 def _sphere_nodes_stratified(d, center, count, seed, d_star):
     """Stratified uniform nodes on S^{d-1}: geometric rings around ``center``.
 
@@ -467,7 +460,6 @@ def _sphere_nodes_stratified(d, center, count, seed, d_star):
     u_edges = (1.0 + t_edges) / 2.0
     n_strata = len(t_edges) - 1
     per = max(count // n_strata, 16)
-    basis = _complement_basis(center)
     total_area = sphere_area_real(d)
 
     pts, wts, slices = [], [], []
@@ -476,14 +468,8 @@ def _sphere_nodes_stratified(d, center, count, seed, d_star):
         frac = _band_fraction(a, u_edges[i], u_edges[i + 1])
         if frac <= 0.0:
             continue
-        rng = rng_stream(seed, 0x57A7, i)
-        u = _sample_band(a, u_edges[i], u_edges[i + 1], per, rng)
-        t = 2.0 * u - 1.0
-        g = rng.standard_normal((per, d - 1))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        v = g @ basis.T
-        x = t[:, None] * center[None, :] + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
-        pts.append(x)
+        pts.append(_band_points(center, u_edges[i], u_edges[i + 1], per,
+                                rng_stream(seed, 0x57A7, i)))
         wts.append(np.full(per, total_area * frac / per))
         slices.append(slice(start, start + per))
         start += per

@@ -88,6 +88,14 @@ class TestCommands:
                     "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_lemma_local_bound_row(self, tmp_path):
+        out = tmp_path / "l25.csv"
+        assert run(["lemma", "--id", "2.5", "--seed", "7",
+                    "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [(r["lemma_id"], r["case_label"], r["p"], r["passed"])
+                for r in rows] == [("2.5", "complement bound", "2", "True")]
+
     def test_metric_command(self, capsys):
         code = run(["metric", "--f", "power:q=1.5;zeta=1,0", "--g", "const:1",
                     "--q", "1.5", "--terms", "6", "--seed", "7"])
@@ -138,6 +146,24 @@ class TestCommands:
         assert run(["scan", "--f", "const:2", "--p", "2", "--kmin", "2",
                     "--kmax", "8", "--seed", "21", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed=abc\n", "bad value 'abc'"),
+        ("count=500\n", "only seed is read, not count"),
+        ("sede=21\n", "unknown config key 'sede'"),
+    ])
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, text, message):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(text)
+        assert run(["--config", str(cfgfile), "scan", "--f", "const:2",
+                    "--p", "2", "--kmin", "2", "--kmax", "8"]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        assert run(["--config", str(missing), "scan", "--f", "const:2",
+                    "--p", "2"]) == cli.EXIT_USAGE
+        assert str(missing) in capsys.readouterr().err
 
     def test_reproduce_single_criterion(self, tmp_path):
         outdir = tmp_path / "acc"

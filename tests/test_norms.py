@@ -6,6 +6,7 @@ import pytest
 from hardylab import functions as fn
 from hardylab import geometry as geo
 from hardylab import norms
+from hardylab import quadrature as quad
 
 E1 = (1.0 + 0j, 0j)
 BALL = geo.parse_domain("ball:n=2")
@@ -189,6 +190,29 @@ class TestScansAndLocal:
         s1 = norms.level_scan_domain(f, 1.5, ELL, grid, CFG, restrict=U)
         s2 = norms.level_scan_domain(f, 1.5, ELL, grid, CFG)
         assert np.allclose(s1.values, s2.values, rtol=1e-12)
+
+    def test_package_error_flags_point_and_truncates(self, monkeypatch):
+        original = norms.point_integral
+
+        def failing(fspec, p, surface, xval, cfg, k=0):
+            if k >= 4:
+                raise quad.QuadratureError("rule broke")
+            return original(fspec, p, surface, xval, cfg, k)
+
+        monkeypatch.setattr(norms, "point_integral", failing)
+        sc = norms.scan(fn.Cauchy(E1), 2.0, norms.ApproachGrid("radial", 2, 7),
+                        norms.SphereSurface(2), CFG)
+        assert sc.flags == ["", "", "failed: rule broke"] + ["truncated"] * 3
+        assert np.all(np.isfinite(sc.values[:2])) and np.all(np.isnan(sc.values[2:]))
+
+    def test_programming_error_in_integrand_propagates(self, monkeypatch):
+        def broken(spec, w):
+            raise TypeError("bad operand")
+
+        monkeypatch.setattr(fn, "zonal_eval", broken)
+        with pytest.raises(TypeError, match="bad operand"):
+            norms.scan(fn.Cauchy(E1), 2.0, norms.ApproachGrid("radial", 2, 7),
+                       norms.SphereSurface(2), CFG)
 
 
 class TestHarmonicScan:
