@@ -19,6 +19,6 @@ from .geometry import (Domain, Ellipsoid, Rescaled, UnitBall, Warped,
 from .norms import (ApproachGrid, IntersectionMetricSpec, OpenBall, QuadConfig,
                     classify, hardy_seminorm, harmonic_scan,
                     intersection_metric, level_scan_domain, local_scan_ball,
-                    membership_verdict, radial_integral, scan)
+                    membership_verdict, radial_integral, scan, scans)
 
 __version__ = "0.1.0"

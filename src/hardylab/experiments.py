@@ -86,23 +86,20 @@ def verify_lemma_2_2(n=2, zeta=(1.0, 0.0), q=1.5, cfg=None, grid=None):
     t0 = time.time()
     zeta = tuple(complex(z) for z in zeta)
     sphere = norms.SphereSurface(n)
+    families = (
+        ("cauchy kernel", fn.Cauchy(zeta),
+         ((0.75 * n, "In", ""), (float(n), "Out", "LogDivergent"),
+          (1.25 * n, "Out", "PowerDivergent"))),
+        ("log kernel", fn.LogCauchy(zeta),
+         ((2.0, "In", ""), (4.0, "In", ""), (8.0, "In", ""))),
+        (f"power kernel q={q:g}", fn.PowerCauchy(zeta, q),
+         ((0.8 * q, "In", ""), (q, "Out", ""), (1.2 * q, "Out", ""))),
+    )
     cases = []
-
-    f = fn.Cauchy(zeta)
-    for p, expected, klass in ((0.75 * n, "In", ""), (float(n), "Out", "LogDivergent"),
-                               (1.25 * n, "Out", "PowerDivergent")):
-        m = norms.membership_verdict(f, p, sphere, grid, cfg)
-        cases.append(_case("cauchy kernel", p, expected, m, klass))
-
-    h = fn.LogCauchy(zeta)
-    for p in (2.0, 4.0, 8.0):
-        m = norms.membership_verdict(h, p, sphere, grid, cfg)
-        cases.append(_case("log kernel", p, "In", m))
-
-    phi = fn.PowerCauchy(zeta, q)
-    for p, expected in ((0.8 * q, "In"), (q, "Out"), (1.2 * q, "Out")):
-        m = norms.membership_verdict(phi, p, sphere, grid, cfg)
-        cases.append(_case(f"power kernel q={q:g}", p, expected, m))
+    for label, f, expect in families:
+        ms = norms.membership_verdicts(f, [p for p, _, _ in expect], sphere, grid, cfg)
+        cases += [_case(label, p, expected, m, klass)
+                  for (p, expected, klass), m in zip(expect, ms)]
 
     return LemmaReport("2.2", cases, {"n": n, "q": q, "seed": cfg.seed},
                        runtime=time.time() - t0)
@@ -344,11 +341,10 @@ def verify_lemma_4_2(domain=None, zeta=(1.0, 0.0), cfg=None, grid=None,
     def member(p):
         return norms.membership_verdict(f, p, norms.LevelSurface(domain), grid, cfg)
 
-    cases = []
-    m15 = member(1.5)
-    cases.append(_case("1/Q below threshold", 1.5, "In", m15))
-    m3 = member(float(2 * n - 1))
-    cases.append(_case("1/Q at 2n-1", 2 * n - 1, "Out", m3))
+    m15, m3 = norms.membership_verdicts(f, (1.5, float(2 * n - 1)),
+                                        norms.LevelSurface(domain), grid, cfg)
+    cases = [_case("1/Q below threshold", 1.5, "In", m15),
+             _case("1/Q at 2n-1", 2 * n - 1, "Out", m3)]
     extras = {}
     if bisect:
         lo, hi = bisect_critical_exponent(member, 1.5, 2.0 * n - 1.0)

@@ -192,8 +192,17 @@ def _cap_indicator(surface):
     return lambda Z: (np.linalg.norm(Z - c, axis=-1) < surface.radius).astype(float)
 
 
-def _zonal_integral(fspec, p, surface, x, cfg):
-    """(estimate, area factor) on the zonal path.
+def _powers(a, ps):
+    """The (P, N) stack of a ** p over the exponents ``ps``, raised one scalar
+    exponent at a time so each row is bit for bit the one-exponent integrand."""
+    out = np.empty((len(ps),) + np.shape(a))
+    for i, p in enumerate(ps):
+        out[i] = a ** p
+    return out
+
+
+def _zonal_integral(fspec, ps, surface, x, cfg):
+    """(estimates, area factor) on the zonal path.
 
     Every zonal surface is the region {Re lam > c} (or its complement) of a
     sphere of radius R: c = -1 for the whole sphere, the chordal cap threshold
@@ -211,7 +220,7 @@ def _zonal_integral(fspec, p, surface, x, cfg):
         if surface.restrict is not None:  # {|R x - center| < radius} as Re lam > c
             c = (R * R + 1.0 - surface.restrict.radius ** 2) / (2.0 * R)
     n = surface.domain.n if isinstance(surface, LevelSurface) else surface.n
-    gt = lambda lam: np.abs(fn.zonal_eval(fspec, R * lam)) ** p
+    gt = lambda lam: _powers(np.abs(fn.zonal_eval(fspec, R * lam)), ps)
     if -1.0 < c < 1.0:
         region = "complement" if complement else "cap"
         return quad.integrate_zonal(gt, n, cfg.zonal, region=region, c=c), factor
@@ -220,10 +229,10 @@ def _zonal_integral(fspec, p, surface, x, cfg):
     return quad.integrate_zonal(gt, n, cfg.zonal), factor
 
 
-def _sphere_mc(fspec, p, surface, r, cfg, seed):
+def _sphere_mc(fspec, ps, surface, r, cfg, seed):
     """Monte Carlo on the sphere or a cap of it: importance sampling around
     the singular points inside the region, else uniform nodes."""
-    g = lambda Z: np.abs(fn.evaluate(fspec, r * Z)) ** p
+    g = lambda Z: _powers(np.abs(fn.evaluate(fspec, r * Z)), ps)
     centers = fn.singular_points(fspec)
     depth = math.sqrt(2.0 * (1.0 - r))
     if isinstance(surface, SphereSurface):
@@ -242,9 +251,9 @@ def _sphere_mc(fspec, p, surface, r, cfg, seed):
                               cfg.mc_count, seed, complement=surface.complement)
 
 
-def _level_mc(fspec, p, surface, eps, cfg, seed):
+def _level_mc(fspec, ps, surface, eps, cfg, seed):
     """Level-set rule of the surface's method, restricted to U if given."""
-    g = lambda Z: np.abs(fn.evaluate(fspec, Z)) ** p
+    g = lambda Z: _powers(np.abs(fn.evaluate(fspec, Z)), ps)
     U = surface.restrict
     centers = [np.asarray(c, dtype=complex) for c in fn.singular_points(fspec)]
     count = (cfg.thin_shell_proposals if surface.method == "thin-shell"
@@ -256,8 +265,8 @@ def _level_mc(fspec, p, surface, eps, cfg, seed):
         restrict_ball=(U.center, U.radius) if U is not None else None)
 
 
-def _harmonic_integral(fspec, p, surface, eps):
-    """(estimate, area factor) of a harmonic kernel on a real level sphere."""
+def _harmonic_integral(fspec, ps, surface, eps):
+    """(estimates, area factor) of a harmonic kernel on a real level sphere."""
     if not isinstance(fspec, fn.HarmonicKernel):
         raise NormError("real level scans expect a harmonic kernel spec")
     n = surface.n
@@ -266,9 +275,9 @@ def _harmonic_integral(fspec, p, surface, eps):
     y = np.asarray(fspec.y, dtype=float)
     if abs(np.linalg.norm(y) - 1.0) > 1e-9:
         raise NormError("harmonic kernel pole must lie on the unit sphere")
-    expo = (n - 2) * p / 2.0
+    expos = [-((n - 2) * p / 2.0) for p in ps]
     # |R x - y|^2 = (1-R)^2 + 2 R u in the gap variable u = 1 - x.y
-    G = lambda u: (gap * gap + 2.0 * R * u) ** (-expo)
+    G = lambda u: _powers(gap * gap + 2.0 * R * u, expos)
     u_hi = 2.0
     if surface.restrict is not None:
         if not np.allclose(np.asarray(surface.restrict.center), y, atol=1e-12):
@@ -277,25 +286,39 @@ def _harmonic_integral(fspec, p, surface, eps):
     return quad.integrate_real_zonal(G, n, u_hi=u_hi), R ** (n - 1)
 
 
-def point_integral(fspec, p, surface, xval, cfg, k=0):
-    """One surface integral of |f|^p; returns (IntegralEstimate, flag)."""
+def point_integrals(fspec, ps, surface, xval, cfg, k=0):
+    """Surface integrals of |f|^p at one grid point for every exponent in
+    ``ps``: one rule and one evaluation of |f|, shared by all of them.
+
+    Returns one (IntegralEstimate, flag) per exponent, each equal to
+    ``point_integral`` at that exponent.
+    """
     x = float(xval)
     guarded = False
     if isinstance(surface, RealLevelSurface):
-        est, factor = _harmonic_integral(fspec, p, surface, x)
+        ests, factor = _harmonic_integral(fspec, ps, surface, x)
     elif _zonal_ok(fspec, surface, cfg):
-        est, factor = _zonal_integral(fspec, p, surface, x, cfg)
+        ests, factor = _zonal_integral(fspec, ps, surface, x, cfg)
     elif isinstance(surface, LevelSurface):
-        est, factor = _level_mc(fspec, p, surface, x, cfg, _point_seed(cfg, k)), 1.0
+        ests, factor = _level_mc(fspec, ps, surface, x, cfg, _point_seed(cfg, k)), 1.0
     elif isinstance(surface, (SphereSurface, CapSurface)):
-        est, factor = _sphere_mc(fspec, p, surface, x, cfg, _point_seed(cfg, k)), 1.0
+        ests, factor = _sphere_mc(fspec, ps, surface, x, cfg, _point_seed(cfg, k)), 1.0
         guarded = True
     else:
         raise NormError(f"unknown surface {surface!r}")
-    est = replace(est, value=est.value * factor, stderr=est.stderr * factor)
-    if est.overflowed:
-        return est, "overflow"
-    return est, (_mc_guard(est, x, cfg) if guarded else "")
+    if isinstance(ests, quad.IntegralEstimate):  # empty region: nothing evaluated
+        ests = [ests] * len(ps)
+    out = []
+    for est in ests:
+        est = replace(est, value=est.value * factor, stderr=est.stderr * factor)
+        flag = "overflow" if est.overflowed else (_mc_guard(est, x, cfg) if guarded else "")
+        out.append((est, flag))
+    return out
+
+
+def point_integral(fspec, p, surface, xval, cfg, k=0):
+    """One surface integral of |f|^p; returns (IntegralEstimate, flag)."""
+    return point_integrals(fspec, (p,), surface, xval, cfg, k)[0]
 
 
 def radial_integral(fspec, p, r, cfg=None, surface=None):
@@ -354,34 +377,50 @@ class NormScan:
                 f"surface={self.surface.describe()})")
 
 
-def scan(fspec, p, grid, surface, cfg=None):
-    """Surface integrals of |f|^p along the grid; failures truncate the scan."""
+def scans(fspec, ps, grid, surface, cfg=None):
+    """One scan of |f|^p along the grid per exponent in ``ps``, each equal to
+    ``scan`` at that exponent; every grid point builds one rule and evaluates
+    |f| once for all the exponents still live there.
+
+    A failed point (a ``failed:`` flag such as the MC variance guard) ends
+    the scan of its exponent and marks the rest of that grid ``truncated``;
+    a package error raised at a point fails and truncates every live scan.
+    """
     cfg = cfg or QuadConfig()
     xs = grid.values()
-    ks = grid.ks()
-    values = np.full(len(xs), np.nan)
-    stderrs = np.full(len(xs), np.nan)
-    flags = [""] * len(xs)
-    methods = [""] * len(xs)
-    for i, (k, x) in enumerate(zip(ks, xs)):
+    n = len(xs)
+    out = [NormScan(p=p, grid=grid, surface=surface, fspec=fspec,
+                    values=np.full(n, np.nan), stderrs=np.full(n, np.nan),
+                    flags=[""] * n, methods=[""] * n) for p in ps]
+    live = out
+    for i, (k, x) in enumerate(zip(grid.ks(), xs)):
+        if not live:
+            break
         try:
-            est, flag = point_integral(fspec, p, surface, x, cfg, k=int(k))
+            if len(live) == 1:  # keeps the per-point span perfbench records
+                results = [point_integral(fspec, live[0].p, surface, x, cfg, k=int(k))]
+            else:
+                results = point_integrals(fspec, [sc.p for sc in live], surface,
+                                          x, cfg, k=int(k))
         except (NormError, quad.QuadratureError, fn.FunctionError,
                 GeometryError) as exc:  # record and truncate per the scan contract
-            flags[i] = f"failed: {exc}"
-            for j in range(i + 1, len(xs)):
-                flags[j] = "truncated"
-            break
-        values[i] = est.value
-        stderrs[i] = est.stderr
-        flags[i] = flag
-        methods[i] = est.method
-        if flag.startswith("failed"):
-            for j in range(i + 1, len(xs)):
-                flags[j] = "truncated"
-            break
-    return NormScan(p=p, grid=grid, surface=surface, fspec=fspec,
-                    values=values, stderrs=stderrs, flags=flags, methods=methods)
+            results = [(None, f"failed: {exc}")] * len(live)
+        for sc, (est, flag) in zip(live, results):
+            sc.flags[i] = flag
+            if est is not None:
+                sc.values[i] = est.value
+                sc.stderrs[i] = est.stderr
+                sc.methods[i] = est.method
+            if flag.startswith("failed"):
+                sc.flags[i + 1:] = ["truncated"] * (n - i - 1)
+        live = [sc for sc in live if not sc.flags[i].startswith("failed")]
+    return out
+
+
+def scan(fspec, p, grid, surface, cfg=None):
+    """Surface integrals of |f|^p along the grid: the one-exponent case of
+    ``scans``.  The first failed point truncates the scan."""
+    return scans(fspec, (p,), grid, surface, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +522,22 @@ def membership_from_verdict(v):
     return "Inconclusive"
 
 
-def membership_verdict(fspec, p, surface, grid=None, cfg=None):
-    """In/Out/Inconclusive decision for f against one Hardy-type space."""
+def membership_verdicts(fspec, ps, surface, grid=None, cfg=None):
+    """In/Out/Inconclusive decisions for f against the Hardy-type spaces of
+    every exponent in ``ps``, from one ``scans`` call."""
     cfg = cfg or QuadConfig()
     if grid is None:
         grid = _default_grid(fspec, surface, cfg)
-    sc = scan(fspec, p, grid, surface, cfg)
-    v = classify(sc)
-    return Membership(membership_from_verdict(v), v, sc)
+    out = []
+    for sc in scans(fspec, ps, grid, surface, cfg):
+        v = classify(sc)
+        out.append(Membership(membership_from_verdict(v), v, sc))
+    return out
+
+
+def membership_verdict(fspec, p, surface, grid=None, cfg=None):
+    """In/Out/Inconclusive decision for f against one Hardy-type space."""
+    return membership_verdicts(fspec, (p,), surface, grid, cfg)[0]
 
 
 def _default_grid(fspec, surface, cfg):
@@ -598,7 +645,11 @@ def intersection_metric(f, g, mspec, grid=None, cfg=None, surface=None):
     legitimately look divergent on any finite grid (their saturation horizon
     exceeds the deepest reachable radius), so per-term classifications are
     reported in the result rather than being fatal; only a scan overflowing
-    float range raises, which certifies f - g outside the space.
+    float range raises, at the first such p_j, which certifies f - g outside
+    the space.
+
+    The whole ladder is one ``scans`` call: each grid point builds its rule
+    and evaluates f - g once for every exponent.
     """
     cfg = cfg or QuadConfig()
     diff = fn.subtract(f, g)
@@ -612,8 +663,8 @@ def intersection_metric(f, g, mspec, grid=None, cfg=None, surface=None):
     value = 0.0
     uncertainty = tail
     terms = []
-    for j, pj in enumerate(p_values, start=1):
-        sc = scan(diff, float(pj), grid, surface, cfg)
+    ladder = scans(diff, [float(pj) for pj in p_values], grid, surface, cfg)
+    for j, (pj, sc) in enumerate(zip(p_values, ladder), start=1):
         v = classify(sc)
         if sc.has_overflow():
             raise NotInSpaceError(

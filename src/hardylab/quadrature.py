@@ -5,6 +5,12 @@ All estimators are pure functions of (inputs, seed).  Randomness is
 counter-based (Philox), node evaluation vectorizes, and accumulation uses
 numpy's fixed pairwise summation order, so results are reproducible bit for
 bit under any parallel scheduling of independent estimates.
+
+An integrand may return a (P, N) stack of values, one row per integrand on
+the rule's nodes; every ``integrate_*`` entry point and
+``SurfaceSampler.integrate`` passes it through to ``reduce_nodes`` and
+returns a list of P estimates, while a region found empty before any
+integrand is evaluated still gives one estimate.
 """
 
 from __future__ import annotations
@@ -59,28 +65,35 @@ def reduce_nodes(weights, vals, method, error=None):
     weight * value estimates the whole integral, the value is their mean and
     the stderr their ddof=1 deviation over sqrt(N).  A scalar iid weight
     factors out of the mean, so a constant integrand integrates exactly.
+
+    A (P, N) stack of integrand values, one row per integrand on the same
+    nodes, gives a list of P estimates, each row reduced exactly as it would
+    be alone.
     """
     weights = np.asarray(weights, dtype=float)
     vals = np.asarray(vals, dtype=float)
+    if vals.ndim == 2:
+        return [reduce_nodes(weights, row, method, error) for row in vals]
     count = np.broadcast(weights, vals).size
     if not np.all(np.isfinite(vals)):
         return IntegralEstimate(np.inf, np.inf, count, method, overflowed=True)
-    y = weights * vals
-    if error != "iid":
-        total = np.sum(y)
-    else:
-        total = weights * np.mean(vals) if weights.ndim == 0 else np.mean(y)
-    if not np.isfinite(total) or abs(total) > OVERFLOW_LIMIT:
-        return IntegralEstimate(np.inf, np.inf, count, method, overflowed=True)
-    if error is None:
-        var = 0.0
-    elif error == "iid":
-        var = np.var(y, ddof=1) / count
-    elif isinstance(error, tuple):
-        var = sum(np.sum(y[sl] ** 2) - np.sum(y[sl]) ** 2 / y[sl].size
-                  for sl in error if y[sl].size > 1)
-    else:
-        var = np.sum(y ** 2) - total ** 2 / error
+    with np.errstate(over="ignore"):  # a total out of float range is flagged below
+        y = weights * vals
+        if error != "iid":
+            total = np.sum(y)
+        else:
+            total = weights * np.mean(vals) if weights.ndim == 0 else np.mean(y)
+        if not np.isfinite(total) or abs(total) > OVERFLOW_LIMIT:
+            return IntegralEstimate(np.inf, np.inf, count, method, overflowed=True)
+        if error is None:
+            var = 0.0
+        elif error == "iid":
+            var = np.var(y, ddof=1) / count
+        elif isinstance(error, tuple):
+            var = sum(np.sum(y[sl] ** 2) - np.sum(y[sl]) ** 2 / y[sl].size
+                      for sl in error if y[sl].size > 1)
+        else:
+            var = np.sum(y ** 2) - total ** 2 / error
     return IntegralEstimate(float(total), math.sqrt(max(var, 0.0)), count, method)
 
 

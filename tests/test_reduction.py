@@ -1,6 +1,7 @@
 """Every quadrature rule reduces through ``quadrature.reduce_nodes``: its
-overflow handling holds on each path, and each point_integral method
-reproduces the values recorded before the paths were merged."""
+overflow handling holds on each path, each point_integral method reproduces
+the values recorded before the paths were merged, and the exponent-ladder
+paths (point_integrals, scans) equal their one-exponent cases exactly."""
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ PATHS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("path", sorted(PATHS))
-@pytest.mark.parametrize("fill", [np.inf, np.nan, 1e301])
+@pytest.mark.parametrize("fill", [np.inf, np.nan, 1e301, 1e306])
 def test_every_path_flags_overflow(path, fill):
     est = PATHS[path](lambda X: np.full(len(X), fill))
     assert est.overflowed
@@ -94,3 +96,92 @@ def test_point_integral_golden(name):
     else:
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+# one ladder around each golden exponent, with the golden exponent inside it
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_point_integrals_equal_point_integral(name):
+    fspec, p, surface, x, cfg, *_ = GOLDEN[name]
+    ps = (1.0, p, p + 0.75, 3.0)
+    ladder = norms.point_integrals(fspec, ps, surface, x, cfg, k=3)
+    assert len(ladder) == len(ps)
+    for pj, (est, flag) in zip(ps, ladder):
+        one, one_flag = norms.point_integral(fspec, pj, surface, x, cfg, k=3)
+        assert (est.value, est.stderr, est.count, est.method, flag) == \
+            (one.value, one.stderr, one.count, one.method, one_flag)
+
+
+def assert_scans_equal(ladder, ps, fspec, grid, surface, cfg):
+    assert [sc.p for sc in ladder] == list(ps)
+    for pj, sc in zip(ps, ladder):
+        one = norms.scan(fspec, pj, grid, surface, cfg)
+        assert np.array_equal(sc.values, one.values, equal_nan=True)
+        assert np.array_equal(sc.stderrs, one.stderrs, equal_nan=True)
+        assert (sc.flags, sc.methods) == (one.flags, one.methods)
+
+
+def density_demo_difference():
+    """c times the sum of the density demo's singular powers, as
+    intersection_metric sees f - base."""
+    centers = geo.boundary_dense_sequence(BALL, 4, seed=7)
+    return fn.combine(*[(1e-3, fn.PowerCauchy(tuple(w), 1.5)) for w in centers])
+
+
+LADDER = [float(p) for p in norms.IntersectionMetricSpec(q=1.5, J=20).p_list()]
+
+
+def test_scans_truncate_each_exponent_at_its_own_guard():
+    diff = density_demo_difference()
+    cfg = norms.QuadConfig(seed=7, mc_count=10_000)
+    surface = norms.SphereSurface(2)
+    ladder = norms.scans(diff, LADDER, norms.RADIAL_MC, surface, cfg)
+    stops = {sc.flags.index("truncated") if "truncated" in sc.flags else None
+             for sc in ladder}
+    assert len(stops) > 1  # the guard stops some exponents before others
+    assert_scans_equal(ladder, LADDER, diff, norms.RADIAL_MC, surface, cfg)
+
+
+def test_scans_fail_every_live_exponent_at_a_raising_point(monkeypatch):
+    original = fn.zonal_eval
+
+    def raising(spec, w):
+        if np.max(np.abs(w)) > 0.99:
+            raise fn.FunctionError("pole reached")
+        return original(spec, w)
+
+    monkeypatch.setattr(fn, "zonal_eval", raising)
+    grid = norms.ApproachGrid("radial", 2, 9)
+    surface = norms.SphereSurface(2)
+    ps = (1.5, 2.0, 3.0)
+    ladder = norms.scans(fn.Cauchy(E1), ps, grid, surface, DET)
+    for sc in ladder:
+        assert sc.flags == [""] * 5 + ["failed: pole reached", "truncated", "truncated"]
+    assert_scans_equal(ladder, ps, fn.Cauchy(E1), grid, surface, DET)
+
+
+def test_scans_keep_scanning_past_an_overflowing_exponent():
+    grid = norms.ApproachGrid("radial", 2, 12)
+    surface = norms.SphereSurface(2)
+    ps = (2.0, 100.0)
+    with np.errstate(over="ignore"):
+        ladder = norms.scans(fn.Cauchy(E1), ps, grid, surface, DET)
+        assert "overflow" not in ladder[0].flags
+        assert ladder[1].flags[-1] == "overflow" and ladder[1].flags[0] == ""
+        assert_scans_equal(ladder, ps, fn.Cauchy(E1), grid, surface, DET)
+
+
+def test_intersection_metric_builds_one_rule_per_grid_point(monkeypatch):
+    calls = []
+    original = quad.integrate_sphere_importance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "integrate_sphere_importance", counted)
+    cfg = norms.QuadConfig(seed=7, mc_count=10_000)
+    res = norms.intersection_metric(density_demo_difference(), fn.Const(0.0),
+                                    norms.IntersectionMetricSpec(q=1.5, J=20),
+                                    cfg=cfg)
+    assert len(res.terms) == 20
+    assert 0 < len(calls) <= len(norms.RADIAL_MC.ks())
