@@ -286,13 +286,16 @@ def _flatten(coeff, spec, acc):
 
 
 def combine(*weighted):
-    """Linear combination of specs with exact cancellation of repeated atoms."""
+    """Linear combination of specs with exact cancellation of repeated atoms;
+    zero constants contribute nothing and are dropped."""
     acc = []
     for coeff, spec in weighted:
         _flatten(complex(coeff), spec, acc)
     merged = {}
     order = []
     for c, s in acc:
+        if is_zero(s):
+            continue
         if s in merged:
             merged[s] += c
         else:

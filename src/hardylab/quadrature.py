@@ -25,6 +25,7 @@ from scipy.special import betainc, betaincinv, roots_legendre
 from .geometry import grad_norm, rng_stream, to_complex, to_real
 
 OVERFLOW_LIMIT = 1e300
+SHELL_CHUNK_ROWS = 65_536  # thin-shell proposals evaluated per step
 
 
 class QuadratureError(RuntimeError):
@@ -461,13 +462,17 @@ def _band_points(xc, u1, u2, count, rng):
     return t[:, None] * xc[None, :] + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
 
 
+@lru_cache(maxsize=32)
 def _sphere_nodes_stratified(d, center, count, seed, d_star):
-    """Stratified uniform nodes on S^{d-1}: geometric rings around ``center``.
+    """Stratified uniform nodes on S^{d-1}: geometric rings around ``center``
+    (a tuple of floats, so that the rule can be cached on its full input).
 
     Returns (points (m, d), measure weights (m,), strata slices).  Each stratum
     is sampled uniformly with respect to surface measure, so the estimator is
-    unbiased stratum by stratum.
+    unbiased stratum by stratum.  The arrays are shared by every caller with
+    the same input and are read-only.
     """
+    center = np.asarray(center, dtype=float)
     a = (d - 1) / 2.0
     t_edges = _ring_t_edges(d_star)
     u_edges = (1.0 + t_edges) / 2.0
@@ -486,7 +491,10 @@ def _sphere_nodes_stratified(d, center, count, seed, d_star):
         wts.append(np.full(per, total_area * frac / per))
         slices.append(slice(start, start + per))
         start += per
-    return np.concatenate(pts), np.concatenate(wts), tuple(slices)
+    pts, wts = np.concatenate(pts), np.concatenate(wts)
+    pts.flags.writeable = False
+    wts.flags.writeable = False
+    return pts, wts, tuple(slices)
 
 
 def parametrized_level_sampler(weights, eps, count, seed, singular_center=None,
@@ -511,7 +519,8 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None,
         zc = np.asarray(singular_center, dtype=complex) / R
         zc = zc / np.linalg.norm(zc)
         pts_r, w, strata = _sphere_nodes_stratified(
-            2 * n, to_real(zc), count, seed, d_star=math.sqrt(eps))
+            2 * n, tuple(float(x) for x in to_real(zc)), count, seed,
+            math.sqrt(eps))
         pts_c = to_complex(pts_r)
     jac = det * np.sqrt(np.sum(np.abs(pts_c) ** 2 / R ** 2, axis=-1))
     return SurfaceSampler(surface=surface, method="parametrized",
@@ -567,21 +576,26 @@ def thin_shell_sampler(domain, eps, proposals, seed, surface="", h=None,
     while remaining > 0:
         nb = min(batch, remaining)
         comp = rng.integers(0, K, size=nb) if K > 1 else np.zeros(nb, dtype=int)
-        U = rng.random((nb, 2 * domain.n))
-        X = los[comp] + U * (his[comp] - los[comp])
-        Z = to_complex(X)
-        r = domain.defining.rho(Z)
-        mask = np.abs(r + eps) < h
-        if mask.any():
-            Xa = X[mask]
-            Za = Z[mask]
-            dens = np.zeros(len(Xa))
-            for k in range(K):
-                inside = np.all((Xa >= los[k]) & (Xa <= his[k]), axis=1)
-                dens += inside / (K * vols[k])
-            accepted.append(Za)
-            weights.append(grad_norm(domain.defining, Za)
-                           / (2.0 * h * proposals * dens))
+        # U is drawn chunk by chunk: consecutive draws continue one stream, so
+        # the proposals and the order of the accepted nodes are those of one
+        # draw of the whole batch, without its batch-sized temporaries
+        for start in range(0, nb, SHELL_CHUNK_ROWS):
+            cc = comp[start:start + SHELL_CHUNK_ROWS]
+            U = rng.random((cc.size, 2 * domain.n))
+            X = los[cc] + U * (his[cc] - los[cc])
+            Z = to_complex(X)
+            r = domain.defining.rho(Z)
+            mask = np.abs(r + eps) < h
+            if mask.any():
+                Xa = X[mask]
+                Za = Z[mask]
+                dens = np.zeros(len(Xa))
+                for k in range(K):
+                    inside = np.all((Xa >= los[k]) & (Xa <= his[k]), axis=1)
+                    dens += inside / (K * vols[k])
+                accepted.append(Za)
+                weights.append(grad_norm(domain.defining, Za)
+                               / (2.0 * h * proposals * dens))
         remaining -= nb
     if not accepted:
         raise QuadratureError("shell not hit")

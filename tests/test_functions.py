@@ -167,6 +167,19 @@ class TestAlgebraAndParsing:
         g = fn.combine((2.0, f), (-1.0, f))
         assert g == f
 
+    def test_zero_constant_is_dropped(self):
+        f = fn.Cauchy(E1)
+        zero = fn.Const(0.0, 2)
+        assert fn.subtract(f, zero) == f
+        g = fn.LogCauchy(E1)
+        assert fn.combine((1.0, f), (3.0, zero), (2.0, g)) == fn.combine((1.0, f),
+                                                                         (2.0, g))
+        assert fn.is_zero(fn.subtract(zero, zero))
+        z = interior_points(500, seed=5)
+        with_zero = fn.Sum(((1.0, f), (-1.0, zero)))
+        assert np.array_equal(fn.evaluate(fn.subtract(f, zero), z),
+                              fn.evaluate(with_zero, z))
+
     def test_sum_evaluation(self):
         f = fn.Sum(((2.0, fn.Const(3.0, 2)), (1.0, fn.Cauchy(E1))))
         assert fn.evaluate(f, np.zeros(2)) == pytest.approx(7.0)
