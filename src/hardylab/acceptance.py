@@ -294,7 +294,7 @@ def criterion_10(seed):
         p = 0.5 + 2.0 * rng.random()
         gt = lambda lam, r=r, p=p: np.abs(1.0 - r * lam) ** (-p)
         gz = lambda Z, r=r, p=p: np.abs(1.0 - r * hermitian(Z, zeta)) ** (-p)
-        ez = quad.integrate_zonal(gt, n, cfg.zonal)
+        ez = quad.integrate_zonal(gt, n)
         em = quad.integrate_sphere(gz, n, cfg.mc_count, seed + 700 + i)
         if abs(ez.value - em.value) <= 3.0 * em.stderr:
             hits += 1

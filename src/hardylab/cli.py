@@ -12,7 +12,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,46 +37,38 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat, serializable run configuration; flags override file values."""
+    """The --config file: ``seed=<int>`` lines and ``#`` comments; a --seed
+    flag overrides it."""
 
-    command: str = ""
-    domain: str = ""
-    function: str = ""
-    p: float = None
-    q: float = None
-    grid: str = ""
-    count: int = None
     seed: int = None
-    out: str = ""
-
-    def to_text(self):
-        lines = []
-        for key, val in vars(self).items():
-            if val not in (None, ""):
-                lines.append(f"{key}={fmt(val) if isinstance(val, float) else val}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text):
-        """Parse key=value lines; unknown keys and bad numbers raise ValueError."""
-        names = {f.name for f in fields(cls)}
-        parse = {"p": float, "q": float, "count": int, "seed": int}
-        kwargs = {}
+    def read(cls, path):
+        """The config of the file at ``path``; a missing file, a key other than
+        seed or a seed that is not an int raises UsageError."""
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"--config {path}: {exc}") from exc
+        seed = None
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in names:
-                raise ValueError(f"unknown config key {key!r}")
+            if key != "seed":
+                raise UsageError(f"--config {path}: unknown config key {key!r}; "
+                                 f"only seed is read, not {key}")
             try:
-                kwargs[key] = parse.get(key, str)(val)
+                seed = int(val)
             except ValueError:
-                raise ValueError(f"config key {key!r}: bad value {val!r}") from None
-        return cls(**kwargs)
+                raise UsageError(f"--config {path}: config key 'seed': "
+                                 f"bad value {val!r}") from None
+        return cls(seed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,22 +128,10 @@ def emit_plot_data(sc, verdict, path):
         raise SystemExit(EXIT_CANTCREAT) from exc
 
 
-def _load_config(path):
-    """The ExperimentConfig of a --config file; a run reads only its seed."""
-    try:
-        with open(path) as fh:
-            cfg = ExperimentConfig.from_text(fh.read())
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"--config {path}: {exc}") from exc
-    unused = [k for k, v in vars(cfg).items() if k != "seed" and v not in (None, "")]
-    if unused:
-        raise UsageError(f"--config {path}: only seed is read, not {', '.join(unused)}")
-    return cfg
-
-
 def build_parser():
     ap = _Parser(prog="hardylab", description=__doc__)
-    ap.add_argument("--config", help="flat key=value config file; flags override")
+    ap.add_argument("--config", help="file of seed=<int> and # comment lines; "
+                                     "--seed overrides it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -272,7 +252,8 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        file_cfg = _load_config(args.config) if args.config else ExperimentConfig()
+        file_cfg = (ExperimentConfig.read(args.config) if args.config
+                    else ExperimentConfig())
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")

@@ -46,13 +46,18 @@ class LemmaReport:
         return all(c.passed for c in self.cases)
 
     def summary_lines(self):
+        """One line per case; a passing case whose measured verdict differs
+        from the expected one (a verdict its pass criterion does not
+        enforce) is marked "recorded, not enforced"."""
         out = [f"[{'PASS' if self.passed else 'FAIL'}] lemma {self.lemma_id} "
                f"({self.runtime:.1f} s)"]
         for c in self.cases:
             tag = "ok " if c.passed else "BAD"
+            note = ("  recorded, not enforced"
+                    if c.passed and c.measured != c.expected else "")
             out.append(f"  {tag} {c.label:<38} p={c.p:<8g} expected {c.expected:<3}"
                        f" measured {c.measured:<12} [{c.verdict.klass}"
-                       f" rate={c.verdict.rate:.3g} R2={c.verdict.r2:.3f}]")
+                       f" rate={c.verdict.rate:.3g} R2={c.verdict.r2:.3f}]{note}")
         for k, v in self.extras.items():
             out.append(f"      {k}: {v}")
         return out
@@ -140,8 +145,10 @@ class LocalBoundReport:
         ]
 
 
-def minimize_alpha(zeta, cap_center, cap_radius, n, samples=1_000_000, seed=7,
-                   refine_steps=60):
+ALPHA_REFINE_STEPS = 60  # projected-ascent steps after the random search
+
+
+def minimize_alpha(zeta, cap_center, cap_radius, n, samples=1_000_000, seed=7):
     """inf of 1 - Re<z, zeta> over (S - G) cap {Re<z, zeta> >= 0}.
 
     Best-of random search followed by projected gradient ascent on Re<z, zeta>
@@ -177,7 +184,7 @@ def minimize_alpha(zeta, cap_center, cap_radius, n, samples=1_000_000, seed=7,
     xz = to_real(zeta)
     xc = to_real(cap_center)
     step = 0.05
-    for _ in range(refine_steps):
+    for _ in range(ALPHA_REFINE_STEPS):
         cand = x + step * xz
         cand /= np.linalg.norm(cand)
         if np.linalg.norm(cand - xc) < cap_radius:
@@ -307,7 +314,11 @@ def verify_lemma_3_1(domain=None, lam_kind="rescaled", f=None, p=1.5,
                        runtime=time.time() - t0, extras=extras)
 
 
-def bisect_critical_exponent(verdict_fn, p_lo, p_hi, tol=0.1, max_runs=8):
+BISECT_TOL = 0.1     # bracket width at which the bisection stops
+BISECT_MAX_RUNS = 8  # verdicts per bisection at most
+
+
+def bisect_critical_exponent(verdict_fn, p_lo, p_hi):
     """Bisection bracket of the smallest p with a divergent verdict.
 
     Definite divergence moves the upper edge down; Bounded or Inconclusive
@@ -315,8 +326,8 @@ def bisect_critical_exponent(verdict_fn, p_lo, p_hi, tol=0.1, max_runs=8):
     at desk scale, so failure to diverge counts as the bounded side).
     """
     lo, hi = float(p_lo), float(p_hi)
-    for _ in range(max_runs):
-        if hi - lo <= tol:
+    for _ in range(BISECT_MAX_RUNS):
+        if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
         if verdict_fn(mid).verdict.divergent:
@@ -385,13 +396,13 @@ def verify_lemma_5_1(n=3, y=None, cfg=None, grid=None, u_radius=0.4):
         y = tuple([0.0] * (n - 1) + [1.0])
     t = (n - 1.0) / (n - 2.0)
     t0 = time.time()
-    cases = []
-    for p, expected in ((0.85 * t, "In"), (t, "Out"), (1.15 * t, "Out")):
-        sc = norms.harmonic_scan(y, p, n, grid, cfg)
-        v = norms.classify(sc)
-        m = norms.Membership(norms.membership_from_verdict(v), v, sc)
-        cases.append(_case("harmonic kernel", p, expected, m))
-    U = norms.OpenBall(tuple(float(v) for v in y), u_radius)
+    y = tuple(float(v) for v in y)
+    expect = ((0.85 * t, "In"), (t, "Out"), (1.15 * t, "Out"))
+    ms = norms.membership_verdicts(fn.HarmonicKernel(y, n), [p for p, _ in expect],
+                                   norms.RealLevelSurface(n), grid, cfg)
+    cases = [_case("harmonic kernel", p, expected, m)
+             for (p, expected), m in zip(expect, ms)]
+    U = norms.OpenBall(y, u_radius)
     sc_loc = norms.harmonic_scan(y, t, n, grid, cfg, restrict=U)
     v_loc = norms.classify(sc_loc)
     m_loc = norms.Membership(norms.membership_from_verdict(v_loc), v_loc, sc_loc)
@@ -434,25 +445,23 @@ class WitnessReport:
         return out
 
 
-def default_probe_schedule():
-    """Inward radii 1 - 10^{-m/2}, m = 1..18 (down to 1 - r = 1e-9)."""
-    return 1.0 - 10.0 ** (-np.arange(1, 19) / 2.0)
+# inward probe radii 1 - 10^{-m/2}, m = 1..18 (down to 1 - r = 1e-9)
+PROBE_SCHEDULE = 1.0 - 10.0 ** (-np.arange(1, 19) / 2.0)
 
 
-def totally_unbounded_witness(fspec, targets, bound, schedule=None, domain=None):
+def totally_unbounded_witness(fspec, targets, bound, domain=None):
     """Certify |f| > bound near each boundary target along the inward ray.
 
     Success requires a probe z strictly inside the domain with |f(z)| > bound,
-    re-verified by direct evaluation; failure after the schedule is recorded
-    as data, not an error.
+    re-verified by direct evaluation; failure after PROBE_SCHEDULE is
+    recorded as data, not an error.
     """
-    schedule = default_probe_schedule() if schedule is None else np.asarray(schedule)
     t0 = time.time()
     entries = []
     for target in targets:
         tz = np.asarray(target, dtype=complex)
         entry = WitnessEntry(target=tuple(tz), success=False)
-        for r in schedule:
+        for r in PROBE_SCHEDULE:
             z = r * tz
             try:
                 val = float(np.abs(fn.evaluate(fspec, z)))
@@ -492,8 +501,11 @@ class DensityDemoResult:
         return out
 
 
+MAX_HALVINGS = 60  # coefficient halvings before the search gives up
+
+
 def density_demo(base, q=1.5, delta=0.01, J=4, bound=1e3, cfg=None,
-                 metric_spec=None, domain=None, max_halvings=60):
+                 metric_spec=None, domain=None):
     """Perturb a base function by J scaled singular powers at quasi-dense
     boundary points: the perturbation stays metric-close to the base while
     blowing up near every chosen point.
@@ -516,7 +528,7 @@ def density_demo(base, q=1.5, delta=0.01, J=4, bound=1e3, cfg=None,
 
     c = delta / (4.0 * J * (1.0 + norm_last))
     metric = None
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         f = fn.combine((1.0, base), *[(c, ph) for ph in phis])
         metric = norms.intersection_metric(f, base, metric_spec, cfg=cfg)
         if metric.value < delta:

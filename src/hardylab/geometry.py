@@ -244,7 +244,6 @@ def base_weights(defining):
 @dataclass(frozen=True)
 class Domain:
     defining: object
-    strict_psh: bool = True
 
     @property
     def n(self):
@@ -306,7 +305,7 @@ def parse_domain(text):
         return Domain(Rescaled(base, float(kv["c"])))
     if kind == "warped":
         base = parse_domain(kv["base"]).defining
-        return Domain(Warped(base, kv.get("u", "x1")), strict_psh=False)
+        return Domain(Warped(base, kv.get("u", "x1")))
     raise GeometryError(f"unknown domain kind {kind!r}")
 
 
@@ -400,18 +399,22 @@ def project_to_boundary(domain, z, max_iter=100):
 # Levi form and the modified Levi polynomial
 # ---------------------------------------------------------------------------
 
-def levi_form_min_eigenvalue(domain, shell=0.1, samples=200, seed=7):
+LEVI_SHELL = 0.1  # depth of the boundary neighborhood sampled for the Levi form
+
+
+def levi_form_min_eigenvalue(domain, samples=200, seed=7):
     """Minimum eigenvalue of the complex Hessian over a boundary neighborhood.
 
-    Samples points with rho in (-shell, 0] and returns the smallest Hessian
-    eigenvalue seen; one third of this value is the constant used in the
-    quadratic lower estimate for the Levi polynomial.
+    Samples boundary points scaled inward by factors in (1 - LEVI_SHELL, 1]
+    and returns the smallest Hessian eigenvalue seen; one third of this value
+    is the constant used in the quadratic lower estimate for the Levi
+    polynomial.
     """
     if samples < 1:
         raise GeometryError("samples must be >= 1")
     pts = boundary_dense_sequence(domain, samples, seed=seed)
     rng = rng_stream(seed, 0x1E71)
-    t = 1.0 - shell * rng.random(samples)
+    t = 1.0 - LEVI_SHELL * rng.random(samples)
     pts = pts * t[:, None]
     H = domain.defining.hess_zzbar(pts)
     eigs = np.linalg.eigvalsh(H)
@@ -510,7 +513,8 @@ def level_set_sampler(domain, eps, method="parametrized", count=100_000, seed=7,
     function.  ``singular_center`` switches the parametrized node generator to
     geometric ring strata around the preimage of that boundary point.
     """
-    from . import quadrature  # local import: quadrature stays geometry-free
+    # local import: quadrature imports geometry at module level
+    from . import quadrature
 
     if eps <= 0 or eps >= domain.eps_max():
         raise GeometryError(
@@ -524,12 +528,8 @@ def level_set_sampler(domain, eps, method="parametrized", count=100_000, seed=7,
         if eps_eff >= 1.0:
             raise GeometryError("level set empty")
         return quadrature.parametrized_level_sampler(
-            w, eps_eff, count, seed,
-            singular_center=singular_center,
-            surface=f"level({domain.describe()}, eps={eps:g})")
+            w, eps_eff, count, seed, singular_center=singular_center)
     if method == "thin-shell":
         return quadrature.thin_shell_sampler(
-            domain, eps, count, seed,
-            surface=f"level({domain.describe()}, eps={eps:g})", within=within,
-            focus=singular_center)
+            domain, eps, count, seed, within=within, focus=singular_center)
     raise GeometryError(f"unknown level-set method {method!r}")

@@ -21,6 +21,9 @@ from .geometry import Domain, GeometryError, base_weights
 
 LN2 = math.log(2.0)
 GRID_FLOOR = 1e-9
+LEVEL_EPS0 = 0.2        # level grids eps_k = LEVEL_EPS0 2^-k
+MC_GUARD_DEPTH = 1e-2   # 1 - r below which noisy sphere MC is rejected
+MC_GUARD_REL = 0.02     # ... when stderr/value exceeds this
 
 
 class NormError(RuntimeError):
@@ -37,12 +40,12 @@ class NotInSpaceError(NormError):
 
 @dataclass(frozen=True)
 class ApproachGrid:
-    """Boundary-approaching grid: radial r_k = 1 - 2^-k or level eps_k = eps0 2^-k."""
+    """Boundary-approaching grid: radial r_k = 1 - 2^-k or level
+    eps_k = LEVEL_EPS0 2^-k."""
 
     kind: str
     k_min: int = 2
     k_max: int = 12
-    eps0: float = 0.2
 
     def __post_init__(self):
         if self.kind not in ("radial", "level"):
@@ -62,7 +65,7 @@ class ApproachGrid:
         k = np.arange(self.k_min, self.k_max + 1)
         if self.kind == "radial":
             return 1.0 - 2.0 ** (-k.astype(float))
-        return self.eps0 * 2.0 ** (-k.astype(float))
+        return LEVEL_EPS0 * 2.0 ** (-k.astype(float))
 
 
 # defaults: deep grids for the deterministic paths, shallow for MC-backed
@@ -80,14 +83,6 @@ class OpenBall:
 
     center: tuple
     radius: float
-
-    def indicator(self, Z):
-        c = np.asarray(self.center)
-        if np.iscomplexobj(Z) or np.iscomplexobj(c):
-            d = np.linalg.norm(np.asarray(Z, dtype=complex) - c.astype(complex), axis=-1)
-        else:
-            d = np.linalg.norm(np.asarray(Z, dtype=float) - c.astype(float), axis=-1)
-        return (d < self.radius).astype(float)
 
 
 @dataclass(frozen=True)
@@ -139,13 +134,7 @@ class QuadConfig:
     mc_count: int = 100_000
     level_count: int = 100_000
     thin_shell_proposals: int = 4_000_000
-    zonal: quad.ZonalGrid = quad.ZonalGrid()
     force_mc: bool = False          # disable deterministic fast paths (oracles)
-    mc_guard_depth: float = 1e-2    # 1 - r below which noisy MC is rejected
-    mc_guard_rel: float = 0.02
-
-    def with_seed(self, seed):
-        return replace(self, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +145,10 @@ def _point_seed(cfg, k):
     return (cfg.seed * 0x9E3779B1 + 0x51ED + int(k)) & 0x7FFFFFFFFFFFFFFF
 
 
-def _mc_guard(est, r, cfg):
+def _mc_guard(est, r):
     """Flag of a sphere Monte Carlo estimate too noisy to trust near the boundary."""
-    if 1.0 - r < cfg.mc_guard_depth and est.stderr > cfg.mc_guard_rel * max(abs(est.value), 1e-300):
+    if 1.0 - r < MC_GUARD_DEPTH and \
+            est.stderr > MC_GUARD_REL * max(abs(est.value), 1e-300):
         return "failed: mc variance guard (stderr/value > 0.02 near boundary)"
     return ""
 
@@ -201,7 +191,7 @@ def _powers(a, ps):
     return out
 
 
-def _zonal_integral(fspec, ps, surface, x, cfg):
+def _zonal_integral(fspec, ps, surface, x):
     """(estimates, area factor) on the zonal path.
 
     Every zonal surface is the region {Re lam > c} (or its complement) of a
@@ -223,10 +213,10 @@ def _zonal_integral(fspec, ps, surface, x, cfg):
     gt = lambda lam: _powers(np.abs(fn.zonal_eval(fspec, R * lam)), ps)
     if -1.0 < c < 1.0:
         region = "complement" if complement else "cap"
-        return quad.integrate_zonal(gt, n, cfg.zonal, region=region, c=c), factor
+        return quad.integrate_zonal(gt, n, region=region, c=c), factor
     if (c <= -1.0) == complement:  # the region is empty
         return quad.IntegralEstimate(0.0, 0.0, 0, "zonal"), factor
-    return quad.integrate_zonal(gt, n, cfg.zonal), factor
+    return quad.integrate_zonal(gt, n), factor
 
 
 def _sphere_mc(fspec, ps, surface, r, cfg, seed):
@@ -260,9 +250,8 @@ def _level_mc(fspec, ps, surface, eps, cfg, seed):
              else cfg.level_count)
     return quad.integrate_level_set(
         g, surface.domain, eps, method=surface.method, count=count, seed=seed,
-        restrict=U.indicator if U is not None else None,
-        singular_center=centers[0] if centers else None,
-        restrict_ball=(U.center, U.radius) if U is not None else None)
+        within=(U.center, U.radius) if U is not None else None,
+        singular_center=centers[0] if centers else None)
 
 
 def _harmonic_integral(fspec, ps, surface, eps):
@@ -298,7 +287,7 @@ def point_integrals(fspec, ps, surface, xval, cfg, k=0):
     if isinstance(surface, RealLevelSurface):
         ests, factor = _harmonic_integral(fspec, ps, surface, x)
     elif _zonal_ok(fspec, surface, cfg):
-        ests, factor = _zonal_integral(fspec, ps, surface, x, cfg)
+        ests, factor = _zonal_integral(fspec, ps, surface, x)
     elif isinstance(surface, LevelSurface):
         ests, factor = _level_mc(fspec, ps, surface, x, cfg, _point_seed(cfg, k)), 1.0
     elif isinstance(surface, (SphereSurface, CapSurface)):
@@ -311,7 +300,7 @@ def point_integrals(fspec, ps, surface, xval, cfg, k=0):
     out = []
     for est in ests:
         est = replace(est, value=est.value * factor, stderr=est.stderr * factor)
-        flag = "overflow" if est.overflowed else (_mc_guard(est, x, cfg) if guarded else "")
+        flag = "overflow" if est.overflowed else (_mc_guard(est, x) if guarded else "")
         out.append((est, flag))
     return out
 
@@ -602,25 +591,13 @@ def hardy_seminorm(fspec, p, grid=None, surface=None, cfg=None):
 
 @dataclass(frozen=True)
 class IntersectionMetricSpec:
-    """Exponent ladder p_1 < p_2 < ... < q with p_j -> q, truncated at J terms.
-
-    The default ladder is q - (q-1)/2^j (j+1 for q = infinity); ``powers``
-    overrides it with an explicit increasing sequence below q.
-    """
+    """Exponent ladder p_j = q - (q-1)/2^j (j+1 for q = infinity) rising to q,
+    truncated at J terms."""
 
     q: float
     J: int = 20
-    powers: tuple = None
-
-    def __post_init__(self):
-        if self.powers is not None:
-            ps = np.asarray(self.powers, dtype=float)
-            if np.any(np.diff(ps) <= 0) or np.any(ps >= self.q):
-                raise NormError("powers must increase strictly and stay below q")
 
     def p_list(self):
-        if self.powers is not None:
-            return np.asarray(self.powers, dtype=float)
         j = np.arange(1, self.J + 1)
         if math.isinf(self.q):
             return (j + 1).astype(float)

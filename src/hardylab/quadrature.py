@@ -26,6 +26,7 @@ from .geometry import grad_norm, rng_stream, to_complex, to_real
 
 OVERFLOW_LIMIT = 1e300
 SHELL_CHUNK_ROWS = 65_536  # thin-shell proposals evaluated per step
+SHELL_EPS_DIVISOR = 10.0   # thin-shell half-width h = eps / 10
 
 
 class QuadratureError(RuntimeError):
@@ -114,16 +115,15 @@ def _unit_gaussians(rng, count, d):
     return g
 
 
-def integrate_sphere(g, n, count=100_000, seed=7, stream=0):
+def integrate_sphere(g, n, count=100_000, seed=7):
     """Unbiased Monte Carlo of g against the unnormalized surface measure."""
     if count < 100:
         raise QuadratureError("count must be >= 100")
-    z = sample_sphere(n, count, seed, stream)
+    z = sample_sphere(n, count, seed)
     return reduce_nodes(sphere_area(n), g(z), "mc-sphere", "iid")
 
 
-def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=7,
-                                stream=0):
+def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=7):
     """Unbiased sphere integral with proposals graded toward singular centers.
 
     The proposal is a mixture of the uniform distribution (weight 1/2) and,
@@ -137,7 +137,7 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
         raise QuadratureError("count must be >= 100")
     centers = [np.asarray(c, dtype=complex) for c in centers]
     if not centers:
-        return integrate_sphere(g, n, count, seed, stream)
+        return integrate_sphere(g, n, count, seed)
     d = 2 * n
     a = (d - 1) / 2.0
     xs = [to_real(c / np.linalg.norm(c)) for c in centers]
@@ -152,7 +152,7 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
     t_sorted_edges = np.concatenate([u_lo, [u_hi[-1]]]) * 2.0 - 1.0
     J, M = len(centers), len(fracs)
 
-    rng = rng_stream(seed, 0x1B0, stream)
+    rng = rng_stream(seed, 0x1B0, 0)
     comp = rng.integers(0, 2 * J * M, size=count)  # < J*M: banded; else uniform
     pts = np.empty((count, d))
     uniform_mask = comp >= J * M
@@ -179,8 +179,7 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
                         "mc-importance", "iid")
 
 
-def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False,
-                  stream=0):
+def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False):
     """Monte Carlo of g over the cap {z in S : |z - center| < radius}.
 
     Samples the cap directly (cosine in a truncated Beta band, tangential
@@ -198,7 +197,7 @@ def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False,
         return IntegralEstimate(0.0, 0.0, 0, "exact-empty")
     center = np.asarray(center, dtype=complex)
     xc = to_real(center / np.linalg.norm(center))
-    x = _band_points(xc, u1, u2, count, rng_stream(seed, 0xCA9, stream))
+    x = _band_points(xc, u1, u2, count, rng_stream(seed, 0xCA9, 0))
     return reduce_nodes(sphere_area(n) * frac, g(to_complex(x)), "mc-cap", "iid")
 
 
@@ -213,12 +212,10 @@ def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False,
 # that point.  The constant is calibrated so gt == 1 returns sigma(S).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZonalGrid:
-    radial_panels: int = 40     # panel edges 1 - 2^-j
-    radial_nodes: int = 8
-    angular_panels: int = 40    # panel edges pi * 2^-j, mirrored in sign
-    angular_nodes: int = 8
+ZONAL_RADIAL_PANELS = 40    # panel edges 1 - 2^-j
+ZONAL_RADIAL_NODES = 8
+ZONAL_ANGULAR_PANELS = 40   # panel edges pi * 2^-j, mirrored in sign
+ZONAL_ANGULAR_NODES = 8
 
 
 @lru_cache(maxsize=32)
@@ -260,21 +257,28 @@ def _radial_interval(theta, c, mode):
     return (0.0, 1.0) if c >= 0.0 else None
 
 
-def _theta_nodes(grid, c=None):
+def _theta_nodes(c=None):
     """Angular nodes on panels with edges pi 2^-j, plus an edge at acos(c)
     when the pairing threshold c cuts the disk."""
-    edges = [0.0] + [np.pi * 2.0 ** (-j) for j in range(grid.angular_panels, -1, -1)]
+    edges = [0.0] + [np.pi * 2.0 ** (-j)
+                     for j in range(ZONAL_ANGULAR_PANELS, -1, -1)]
     if c is not None and -1.0 < c < 1.0:
         edges = sorted(set(edges) | {math.acos(c)})
-    return _nodes_on_panels(np.asarray(edges), grid.angular_nodes)
+    return _nodes_on_panels(np.asarray(edges), ZONAL_ANGULAR_NODES)
+
+
+def _radial_nodes(lo, hi):
+    """Radial nodes on [lo, hi], panels refining toward s = 1."""
+    return _nodes_on_panels(_geometric_edges(lo, hi, ZONAL_RADIAL_PANELS),
+                            ZONAL_RADIAL_NODES)
 
 
 @lru_cache(maxsize=64)
-def _zonal_nodes(n, grid, mode="full", c=None):
+def _zonal_nodes(n, mode="full", c=None):
     """Flattened (lam, weight) arrays; weights calibrated against sigma(S^{2n-1})."""
     if n < 2:
         raise QuadratureError("zonal path requires n >= 2")
-    theta, wtheta = _theta_nodes(grid, None if mode == "full" else c)
+    theta, wtheta = _theta_nodes(None if mode == "full" else c)
 
     lam_parts, w_parts = [], []
     for th, wt in zip(theta, wtheta):
@@ -284,8 +288,7 @@ def _zonal_nodes(n, grid, mode="full", c=None):
             interval = _radial_interval(th, c, mode)
             if interval is None:
                 continue
-        s_edges = _geometric_edges(interval[0], interval[1], grid.radial_panels)
-        s, ws = _nodes_on_panels(s_edges, grid.radial_nodes)
+        s, ws = _radial_nodes(*interval)
         w = wt * ws * s * (1.0 - s ** 2) ** (n - 2)
         lam_parts.append(s * np.exp(1j * th))
         w_parts.append(w)
@@ -296,16 +299,15 @@ def _zonal_nodes(n, grid, mode="full", c=None):
     # mirror theta -> -theta
     lam = np.concatenate([lam, np.conj(lam)])
     w = np.concatenate([w, w])
-    w = w * _zonal_calibration(n, grid)
+    w = w * _zonal_calibration(n)
     return lam, w
 
 
 @lru_cache(maxsize=16)
-def _zonal_calibration(n, grid):
+def _zonal_calibration(n):
     """sigma(S^{2n-1}) divided by the full-grid estimate of the disk weight mass."""
-    theta, wtheta = _theta_nodes(grid)
-    s_edges = _geometric_edges(0.0, 1.0, grid.radial_panels)
-    s, ws = _nodes_on_panels(s_edges, grid.radial_nodes)
+    theta, wtheta = _theta_nodes()
+    s, ws = _radial_nodes(0.0, 1.0)
     mass = 2.0 * np.sum(wtheta) * np.sum(ws * s * (1.0 - s ** 2) ** (n - 2))
     analytic = np.pi / (n - 1)
     if abs(mass / analytic - 1.0) > 1e-10:
@@ -314,15 +316,14 @@ def _zonal_calibration(n, grid):
     return sphere_area(n) / mass
 
 
-def integrate_zonal(gt, n, grid=None, region="full", c=None):
+def integrate_zonal(gt, n, region="full", c=None):
     """Deterministic quadrature of z -> gt(<z, zeta>) over the unit sphere of C^n.
 
     ``gt`` must be vectorized over a complex array of pairings with |lam| <= 1.
     region "cap"/"complement" restricts to {Re lam > c} and its complement,
     which are the zonal images of a metric cap around zeta and its complement.
     """
-    grid = grid or ZonalGrid()
-    lam, w = _zonal_nodes(n, grid, region, None if region == "full" else float(c))
+    lam, w = _zonal_nodes(n, region, None if region == "full" else float(c))
     return reduce_nodes(w, gt(lam), "zonal")
 
 
@@ -338,11 +339,16 @@ def integrate_zonal(gt, n, grid=None, region="full", c=None):
 # cosines near 1, so the integrand receives u itself, never 1 - u.
 # ---------------------------------------------------------------------------
 
-def _gap_edges(u_hi, jmax_sing=60, jmax_far=40):
+REAL_ZONAL_NODES = 10   # Gauss-Legendre nodes per panel
+GAP_GRADING_SING = 60   # panel edges 2^-j down to 2^-60 toward u = 0
+GAP_GRADING_FAR = 40    # panel edges 2 - 2^-j down to 2^-40 toward u = 2
+
+
+def _gap_edges(u_hi):
     """Panel edges on [0, u_hi] graded toward the singular end u = 0 and,
     when the full range is used, toward the weight endpoint u = 2."""
-    near = 2.0 ** (-np.arange(jmax_sing, -1, -1.0))        # toward 0
-    far = 2.0 - 2.0 ** (-np.arange(0, jmax_far + 1.0))     # toward 2
+    near = 2.0 ** (-np.arange(GAP_GRADING_SING, -1, -1.0))     # toward 0
+    far = 2.0 - 2.0 ** (-np.arange(0, GAP_GRADING_FAR + 1.0))  # toward 2
     edges = np.concatenate([[0.0], near, [1.0], far, [2.0]])
     edges = np.unique(edges[edges <= u_hi])
     if edges[-1] < u_hi:
@@ -351,15 +357,15 @@ def _gap_edges(u_hi, jmax_sing=60, jmax_far=40):
 
 
 @lru_cache(maxsize=64)
-def _real_zonal_nodes(d, m, u_hi):
-    u, wu = _nodes_on_panels(_gap_edges(u_hi), m)
+def _real_zonal_nodes(d, u_hi):
+    u, wu = _nodes_on_panels(_gap_edges(u_hi), REAL_ZONAL_NODES)
     w = wu * ((2.0 - u) * u) ** ((d - 3) / 2.0)
-    return u, w * _real_zonal_calibration(d, m)
+    return u, w * _real_zonal_calibration(d)
 
 
 @lru_cache(maxsize=16)
-def _real_zonal_calibration(d, m):
-    u, wu = _nodes_on_panels(_gap_edges(2.0), m)
+def _real_zonal_calibration(d):
+    u, wu = _nodes_on_panels(_gap_edges(2.0), REAL_ZONAL_NODES)
     mass = np.sum(wu * ((2.0 - u) * u) ** ((d - 3) / 2.0))
     analytic = sphere_area_real(d) / sphere_area_real(d - 1)
     if abs(mass / analytic - 1.0) > 1e-8:
@@ -367,7 +373,7 @@ def _real_zonal_calibration(d, m):
     return sphere_area_real(d) / mass
 
 
-def integrate_real_zonal(G, d, u_hi=2.0, m=10):
+def integrate_real_zonal(G, d, u_hi=2.0):
     """Deterministic quadrature of x -> G(1 - x.y) over S^{d-1}.
 
     ``G`` receives the gap u = 1 - x.y (vectorized); ``u_hi`` restricts the
@@ -377,7 +383,7 @@ def integrate_real_zonal(G, d, u_hi=2.0, m=10):
         raise QuadratureError("real zonal reduction requires d >= 3")
     if u_hi <= 0.0:
         return IntegralEstimate(0.0, 0.0, 0, "exact-empty")
-    u, w = _real_zonal_nodes(d, m, float(min(u_hi, 2.0)))
+    u, w = _real_zonal_nodes(d, float(min(u_hi, 2.0)))
     return reduce_nodes(w, G(u), "real-zonal")
 
 
@@ -394,10 +400,8 @@ class SurfaceSampler:
     proposal count of a rejection-sampled (thin-shell) rule.
     """
 
-    surface: str
     method: str
     count: int
-    seed: int
     points: np.ndarray
     weights: np.ndarray
     strata: tuple = None
@@ -444,9 +448,12 @@ def _sample_band(a, u1, u2, count, rng):
     return betaincinv(a, a, f1 + u * (f2 - f1))
 
 
-def _ring_t_edges(d_star, max_rings=26):
+MAX_RINGS = 26  # ring strata (chordal radii 2^{1-m}) around a sphere point
+
+
+def _ring_t_edges(d_star):
     """Cosine edges of geometric chordal rings 2*2^-m around a sphere point."""
-    M = int(np.clip(np.ceil(np.log2(2.0 / max(d_star, 1e-9))) + 2, 4, max_rings))
+    M = int(np.clip(np.ceil(np.log2(2.0 / max(d_star, 1e-9))) + 2, 4, MAX_RINGS))
     m = np.arange(0, M + 1)
     t = 1.0 - 2.0 ** (1.0 - 2.0 * m)  # chordal 2^{1-m} -> t = 1 - d^2/2
     return np.concatenate([t, [1.0]])
@@ -497,8 +504,7 @@ def _sphere_nodes_stratified(d, center, count, seed, d_star):
     return pts, wts, tuple(slices)
 
 
-def parametrized_level_sampler(weights, eps, count, seed, singular_center=None,
-                               surface=""):
+def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
     """Sampler for {sum a_j |z_j|^2 = 1 - eps}: linear image of the unit sphere.
 
     The image of a sphere point x under the diagonal map T with coordinate
@@ -523,27 +529,25 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None,
             math.sqrt(eps))
         pts_c = to_complex(pts_r)
     jac = det * np.sqrt(np.sum(np.abs(pts_c) ** 2 / R ** 2, axis=-1))
-    return SurfaceSampler(surface=surface, method="parametrized",
-                          count=len(w), seed=seed,
-                          points=pts_c * R, weights=w * jac,
-                          strata=strata)
+    return SurfaceSampler(method="parametrized", count=len(w),
+                          points=pts_c * R, weights=w * jac, strata=strata)
 
 
-def thin_shell_sampler(domain, eps, proposals, seed, surface="", h=None,
-                       within=None, focus=None):
+def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     """Coarea shell estimator for {rho = -eps}: rejection sampling in a box.
 
       int_{rho=-eps} g dsigma ~= (1/2h) int_{|rho+eps|<h} g |grad rho| dV,
 
-    with box proposals and accepted nodes weighted by |grad rho|/(2h N q),
-    q the proposal density.  ``within`` (center, radius) shrinks the proposal
-    box to the cube around a ball outside of which the integrand vanishes.
+    with h = eps / SHELL_EPS_DIVISOR, box proposals and accepted nodes weighted
+    by |grad rho|/(2h N q), q the proposal density.  ``within`` (center,
+    radius) shrinks the proposal box to the cube around a ball outside of
+    which the integrand vanishes.
     ``focus`` (a boundary point) switches proposals to an equal-weight mixture
     of nested boxes shrinking geometrically toward it, whose closed-form
     density keeps the estimator unbiased while singular integrands
     concentrated there get sampled at every scale.
     """
-    h = h if h is not None else eps / 10.0
+    h = eps / SHELL_EPS_DIVISOR
     b = domain.box_halfwidths()
     lo = -np.repeat(b, 2)
     hi = np.repeat(b, 2)
@@ -601,25 +605,25 @@ def thin_shell_sampler(domain, eps, proposals, seed, surface="", h=None,
         raise QuadratureError("shell not hit")
     pts = np.concatenate(accepted)
     w = np.concatenate(weights)
-    return SurfaceSampler(surface=surface, method="thin-shell", count=len(w),
-                          seed=seed, points=pts, weights=w,
-                          proposals=int(proposals))
+    return SurfaceSampler(method="thin-shell", count=len(w), points=pts,
+                          weights=w, proposals=int(proposals))
 
 
 def integrate_level_set(g, domain, eps, method="parametrized", count=100_000,
-                        seed=7, restrict=None, singular_center=None,
-                        restrict_ball=None):
+                        seed=7, within=None, singular_center=None):
     """Integral of g over {rho = -eps} against Euclidean surface measure.
 
-    ``restrict`` is an optional predicate (vectorized over points) implementing
-    the open-set restriction of local Hardy norms; ``restrict_ball`` passes its
-    (center, radius) so the thin-shell proposal box can shrink accordingly.
+    ``within`` (center, radius) restricts the integral to the open ball
+    {|Z - center| < radius}, the open set U of local Hardy norms; the
+    thin-shell proposal box shrinks to it.
     """
     from .geometry import level_set_sampler  # sampler construction is geometric
 
     sampler = level_set_sampler(domain, eps, method=method, count=count, seed=seed,
-                                singular_center=singular_center,
-                                within=restrict_ball)
-    if restrict is None:
+                                singular_center=singular_center, within=within)
+    if within is None:
         return sampler.integrate(g)
-    return sampler.integrate(lambda Z: np.asarray(g(Z), dtype=float) * restrict(Z))
+    center, radius = within
+    c = np.asarray(center, dtype=complex)
+    return sampler.integrate(lambda Z: np.asarray(g(Z), dtype=float)
+                             * (np.linalg.norm(Z - c, axis=-1) < radius))

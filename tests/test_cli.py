@@ -147,6 +147,17 @@ class TestCommands:
                     "--kmax", "8", "--seed", "21", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_config_file_comments_and_blank_lines(self, tmp_path):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("# run seed\n\n  seed=21\n\n# end\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["--config", str(cfgfile), "scan", "--f", "const:2",
+                    "--p", "2", "--kmin", "2", "--kmax", "8",
+                    "--out", str(a)]) == 0
+        assert run(["scan", "--f", "const:2", "--p", "2", "--kmin", "2",
+                    "--kmax", "8", "--seed", "21", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     @pytest.mark.parametrize("text, message", [
         ("seed=abc\n", "bad value 'abc'"),
         ("count=500\n", "only seed is read, not count"),
@@ -171,18 +182,3 @@ class TestCommands:
                     "--out", str(outdir)])
         assert code == 0
         assert (outdir / "criterion_02.csv").exists()
-
-
-class TestExperimentConfig:
-    def test_roundtrip_lossless(self):
-        cfg = cli.ExperimentConfig(command="scan", domain="ellipsoid:a=1,2",
-                                   function="cauchy:zeta=1,0", p=2.0, q=1.5,
-                                   grid="radial:4..20", count=100000, seed=7,
-                                   out="scan.csv")
-        again = cli.ExperimentConfig.from_text(cfg.to_text())
-        assert again == cfg
-        assert cli.ExperimentConfig.from_text(again.to_text()) == cfg
-
-    def test_partial_roundtrip(self):
-        cfg = cli.ExperimentConfig(command="norm", function="const:1", p=2.0)
-        assert cli.ExperimentConfig.from_text(cfg.to_text()) == cfg

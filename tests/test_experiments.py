@@ -67,6 +67,26 @@ class TestLemmaReports:
         assert rep.passed
 
 
+class TestSummaryLines:
+    @staticmethod
+    def line(expected, measured, passed):
+        v = norms.DivergenceVerdict("LogDivergent", rate=0.30, r2=0.988)
+        case = ex.LemmaCase("lambda-level scan", 1.5, expected, measured, v, passed)
+        return ex.LemmaReport("3.1", [case], {}).summary_lines()[1]
+
+    def test_passing_case_against_its_expectation_is_marked(self):
+        line = self.line("In", "Out", True)
+        assert line.startswith("  ok ")
+        assert "expected In  measured Out" in line
+        assert line.endswith("R2=0.988]  recorded, not enforced")
+
+    @pytest.mark.parametrize("expected, measured, passed",
+                             [("In", "In", True), ("In", "Out", False)])
+    def test_agreeing_or_failing_case_is_not_marked(self, expected, measured,
+                                                    passed):
+        assert "not enforced" not in self.line(expected, measured, passed)
+
+
 class TestBallEllipsoidConsistency:
     def test_ball_critical_exponent_bracket(self):
         dom = geo.Domain(geo.Ellipsoid((1.0, 1.0)))

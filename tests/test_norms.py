@@ -215,6 +215,28 @@ class TestScansAndLocal:
                        norms.SphereSurface(2), CFG)
 
 
+class TestMcGuard:
+    GUARD = "failed: mc variance guard (stderr/value > 0.02 near boundary)"
+    CFG = norms.QuadConfig(seed=7, mc_count=100, force_mc=True)
+    POLY = fn.parse_function("poly:z2^2+z1+3")
+
+    def test_noisy_point_near_the_boundary_is_flagged(self):
+        est, flag = norms.point_integral(self.POLY, 2.0, norms.SphereSurface(2),
+                                         0.995, self.CFG, k=3)
+        assert est.method == "mc-sphere"
+        assert est.stderr > 0.02 * est.value
+        assert flag == self.GUARD
+
+    @pytest.mark.parametrize("r", [0.99, 0.9])
+    def test_noisy_point_away_from_the_boundary_is_not_flagged(self, r):
+        assert 1.0 - r >= 1e-2
+        est, flag = norms.point_integral(self.POLY, 2.0, norms.SphereSurface(2),
+                                         r, self.CFG, k=3)
+        assert est.method == "mc-sphere"
+        assert est.stderr > 0.02 * est.value
+        assert flag == ""
+
+
 class TestHarmonicScan:
     def test_closed_form_n3_critical(self):
         sc = norms.harmonic_scan((0, 0, 1.0), 2.0, 3, cfg=CFG)
@@ -277,6 +299,17 @@ class TestSeminorm:
         assert fine >= coarse - 1e-12
 
 
+class ExplicitLadder:
+    """An exponent ladder given term by term; intersection_metric reads only
+    ``p_list``."""
+
+    def __init__(self, powers):
+        self.powers = powers
+
+    def p_list(self):
+        return np.asarray(self.powers, dtype=float)
+
+
 class TestMetric:
     MSPEC = norms.IntersectionMetricSpec(q=1.5, J=20)
 
@@ -318,8 +351,7 @@ class TestMetric:
         phi = fn.LogCauchy(E1)
         grid = norms.ApproachGrid("radial", 2, 12)
         spec_a = norms.IntersectionMetricSpec(q=1.5, J=6)
-        spec_b = norms.IntersectionMetricSpec(
-            q=1.5, powers=tuple(1.5 - 0.4 / (j + 1) for j in range(6)))
+        spec_b = ExplicitLadder(tuple(1.5 - 0.4 / (j + 1) for j in range(6)))
         for spec in (spec_a, spec_b):
             seq = [norms.intersection_metric(
                 fn.combine((1.0, g), (1.0 / k, phi)), g, spec, grid=grid,

@@ -191,13 +191,12 @@ class TestThinShell:
         eps = 0.05
         f = fn.LeviReciprocal(ELL, zeta)
         g = lambda Z: np.abs(fn.evaluate(f, Z)) ** 1.5
-        ind = lambda Z: (np.linalg.norm(Z - E1, axis=-1) < 0.3).astype(float)
         e_thin = quad.integrate_level_set(
             g, ELL, eps, method="thin-shell", count=2_000_000, seed=3,
-            restrict=ind, restrict_ball=(E1, 0.3))
+            within=(E1, 0.3))
         e_par = quad.integrate_level_set(
             g, ELL, eps, method="parametrized", count=200_000, seed=5,
-            restrict=ind, singular_center=E1)
+            within=(E1, 0.3), singular_center=E1)
         assert abs(e_thin.value - e_par.value) <= 3 * e_thin.combined_stderr(e_par)
 
     def test_h_default_tenth_of_eps(self):

@@ -48,6 +48,7 @@ MC = norms.QuadConfig(seed=7, mc_count=2000, level_count=2000,
 H3 = fn.HarmonicKernel((1.0, 0.0, 0.0), 3)
 LEVI = fn.LeviReciprocal(ELL, E1)
 POLY = fn.parse_function("poly:z2^2+z1+3")
+U04 = norms.OpenBall(E1, 0.4)
 
 # name: (fspec, p, surface, x, cfg, method, value, stderr, count), recorded
 # with k = 3 before the reduction paths were merged
@@ -83,6 +84,15 @@ GOLDEN = {
                                   0.7778405749813408, 2000),
     "thin-shell": (LEVI, 1.5, norms.LevelSurface(ELL, "thin-shell"), 0.1, MC,
                    "thin-shell", 5.572721778168472, 0.12258180231817127, 4533),
+    # recorded with k = 3 when the restriction reached the level-set rule as
+    # an indicator predicate plus a separate proposal ball
+    "parametrized-restricted": (LEVI, 1.5, norms.LevelSurface(ELL, restrict=U04),
+                                0.05, MC, "parametrized", 1.7654639540172166,
+                                0.09134850269104382, 1995),
+    "thin-shell-restricted": (LEVI, 1.5,
+                              norms.LevelSurface(ELL, "thin-shell", restrict=U04),
+                              0.1, MC, "thin-shell", 1.2042680585329812,
+                              0.026387556162964596, 11092),
 }
 
 
