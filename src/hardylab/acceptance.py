@@ -73,8 +73,7 @@ def criterion_01(seed):
     """Membership thresholds of the kernel zoo on the ball (n=2)."""
     t0 = time.time()
     cfg = norms.QuadConfig(seed=seed)
-    rep = ex.verify_lemma_2_2(n=2, zeta=(1.0, 0.0), q=1.5, cfg=cfg,
-                              grid=norms.ApproachGrid("radial", 4, 20))
+    rep = ex.verify_lemma_2_2(cfg=cfg)
     ok = rep.passed and (time.time() - t0) <= 60.0
     res = CriterionResult(1, "kernel zoo thresholds (f, log f, powers)", seed,
                           ok, time.time() - t0, rows=_report_rows(1, rep, seed),
@@ -107,8 +106,7 @@ def criterion_03(seed):
     """Cap complement bound sigma/alpha^n and cap divergence."""
     t0 = time.time()
     cfg = norms.QuadConfig(seed=seed)
-    rep = ex.verify_local_bound(n=2, zeta=(1.0, 0.0), eps_cap=0.5, cfg=cfg,
-                                grid=norms.ApproachGrid("radial", 4, 20))
+    rep = ex.verify_local_bound(cfg=cfg)
     ok = rep.passed and (time.time() - t0) <= 60.0
     rows = [
         _row(3, "alpha", True, seed, lemma="2.5", value=rep.alpha),
@@ -141,7 +139,7 @@ def criterion_05(seed):
     t0 = time.time()
     cfg = norms.QuadConfig(seed=seed)
     domain = parse_domain("ellipsoid:a=1,2")
-    rep = ex.verify_lemma_4_2(domain=domain, cfg=cfg)
+    rep = ex.verify_lemma_4_2(cfg=cfg)
     rows = _report_rows(5, rep, seed)
     lines = rep.summary_lines()
     f = fn.LeviReciprocal(domain, (1.0, 0.0))
@@ -178,7 +176,7 @@ def criterion_06(seed):
     """Levi power function: global membership below q, local divergence."""
     t0 = time.time()
     cfg = norms.QuadConfig(seed=seed)
-    rep = ex.verify_lemma_4_3(q=1.5, cfg=cfg)
+    rep = ex.verify_lemma_4_3(cfg=cfg)
     return CriterionResult(6, "Levi power thresholds on the ellipsoid", seed,
                            rep.passed, time.time() - t0,
                            _report_rows(6, rep, seed), rep.summary_lines())
@@ -232,7 +230,7 @@ def criterion_09(seed):
     t0 = time.time()
     cfg = norms.QuadConfig(seed=seed)
     base = fn.Poly(((3.0, (0, 0)), (1.0, (2, 0))), 2)
-    res = ex.density_demo(base, q=1.5, delta=0.01, J=4, bound=1e3, cfg=cfg)
+    res = ex.density_demo(base, cfg=cfg)
     runtime = time.time() - t0
     ok = res.passed and runtime <= 180.0
     rows = [_row(9, "metric < delta", res.metric.value < 0.01, seed,

@@ -72,6 +72,12 @@ class ExperimentConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError (exit 64) on bad input; flags match only in full, so
+    ``--seed`` is not read as ``--seeds``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -134,20 +140,21 @@ def build_parser():
                                      "--seed overrides it")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, count=True, plot_data=False):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="CSV output path")
-        p.add_argument("--plot-data", default=None, help="plot data output path")
-        p.add_argument("--count", type=int, default=None, help="MC node budget")
+        if plot_data:
+            p.add_argument("--plot-data", default=None, help="plot data output path")
+        if count:
+            p.add_argument("--count", type=int, default=None, help="MC node budget")
 
     p = sub.add_parser("norm", help="Hardy seminorm of a function")
     common(p)
     p.add_argument("--f", required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--domain", default="ball:n=2")
 
     p = sub.add_parser("scan", help="boundary-approach scan plus verdict")
-    common(p)
+    common(p, plot_data=True)
     p.add_argument("--f", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--domain", default="ball:n=2")
@@ -156,7 +163,7 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=None)
 
     p = sub.add_parser("local", help="cap-restricted scan on the ball")
-    common(p)
+    common(p, plot_data=True)
     p.add_argument("--f", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--center", required=True, help="cap center, e.g. 1,0")
@@ -164,7 +171,7 @@ def build_parser():
     p.add_argument("--complement", action="store_true")
 
     p = sub.add_parser("levi-check", help="quadratic lower bound for Re Q")
-    common(p)
+    common(p, count=False)
     p.add_argument("--domain", default="ball:n=2")
     p.add_argument("--beta", type=float, default=None,
                    help="default: min Levi eigenvalue / 3")
@@ -182,7 +189,7 @@ def build_parser():
                    choices=["identity", "rescaled", "warped"])
 
     p = sub.add_parser("witness", help="total-unboundedness witness search")
-    common(p)
+    common(p, count=False)
     p.add_argument("--f", required=True)
     p.add_argument("--targets", type=int, default=4)
     p.add_argument("--bound", type=float, default=1e3)
@@ -202,7 +209,7 @@ def build_parser():
     p.add_argument("--terms", type=int, default=20)
 
     p = sub.add_parser("reproduce", help="full acceptance suite, one CSV each")
-    common(p)
+    p.add_argument("--out", default=None, help="CSV output directory")
     p.add_argument("--criteria", default=None,
                    help="comma list, e.g. 1,2,5 (default: all)")
     p.add_argument("--seeds", default=None, help="comma list (default: 7,11,13)")
@@ -219,14 +226,14 @@ def _seed(args, file_cfg):
 
 def _quad_config(args, file_cfg):
     cfg = norms.QuadConfig(seed=_seed(args, file_cfg))
-    if args.count is not None:
+    if getattr(args, "count", None) is not None:  # levi-check, witness take none
         cfg = replace(cfg, mc_count=args.count, level_count=args.count)
     return cfg
 
 
-def _scan_rows(name, sc, verdict, seed, extra_pass=None):
+def _scan_rows(name, sc, verdict, seed):
     rows = []
-    passed = (verdict.klass != "Inconclusive") if extra_pass is None else extra_pass
+    passed = verdict.klass != "Inconclusive"
     for x, v, s, flag in zip(sc.grid.values(), sc.values, sc.stderrs, sc.flags):
         rows.append({
             "experiment_id": name, "lemma_id": "", "case_label": flag or "point",
@@ -237,13 +244,23 @@ def _scan_rows(name, sc, verdict, seed, extra_pass=None):
     return rows
 
 
-def _report_exit(reports):
-    if all(r.passed for r in reports):
+def _scan_exit(args, sc, seed):
+    """Print the verdict of a scan or local scan, write its CSV and plot
+    data, and return the exit code."""
+    v = norms.classify(sc)
+    print(f"{sc.describe()}: {v.klass} rate={fmt(v.rate)} r2={fmt(v.r2)}")
+    if args.out:
+        write_csv(_scan_rows(args.command, sc, v, seed), args.out)
+    if args.plot_data:
+        emit_plot_data(sc, v, args.plot_data)
+    return EXIT_OK if v.klass != "Inconclusive" else EXIT_INCONCLUSIVE
+
+
+def _report_exit(report):
+    if report.passed:
         return EXIT_OK
-    for r in reports:
-        for c in r.cases:
-            if c.measured == "Inconclusive" and not c.passed:
-                return EXIT_INCONCLUSIVE
+    if any(c.measured == "Inconclusive" and not c.passed for c in report.cases):
+        return EXIT_INCONCLUSIVE
     return EXIT_ERROR
 
 
@@ -268,6 +285,29 @@ def run(argv):
 
 
 def _dispatch(args, file_cfg):
+    if args.command == "reproduce":
+        seeds = (tuple(int(s) for s in args.seeds.split(","))
+                 if args.seeds else acceptance.DEFAULT_SEEDS)
+        criteria = (tuple(int(c) for c in args.criteria.split(","))
+                    if args.criteria else None)
+        outdir = args.out or "acceptance_out"
+        os.makedirs(outdir, exist_ok=True)
+        results = acceptance.run_all(seeds=seeds, criteria=criteria)
+        by_cid = {}
+        for res in results:
+            by_cid.setdefault(res.cid, []).append(res)
+        all_ok = True
+        for cid, group in sorted(by_cid.items()):
+            rows = [row for res in group for row in res.rows]
+            write_csv(rows, os.path.join(outdir, f"criterion_{cid:02d}.csv"))
+            ok = all(res.passed for res in group)
+            all_ok = all_ok and ok
+            print(f"criterion {cid:2d}: {'PASS' if ok else 'FAIL'} "
+                  f"(seeds {', '.join(str(res.seed) for res in group)})")
+        print(f"acceptance suite: {'PASS' if all_ok else 'FAIL'}; "
+              f"CSV written to {outdir}/")
+        return EXIT_OK if all_ok else EXIT_ERROR
+
     cfg = _quad_config(args, file_cfg)
     seed = cfg.seed
 
@@ -297,26 +337,14 @@ def _dispatch(args, file_cfg):
             grid = norms.ApproachGrid("radial", args.kmin or default.k_min,
                                       args.kmax or default.k_max)
             sc = norms.scan(fspec, args.p, grid, surface, cfg)
-        v = norms.classify(sc)
-        print(f"{sc.describe()}: {v.klass} rate={fmt(v.rate)} r2={fmt(v.r2)}")
-        if args.out:
-            write_csv(_scan_rows("scan", sc, v, seed), args.out)
-        if args.plot_data:
-            emit_plot_data(sc, v, args.plot_data)
-        return EXIT_OK if v.klass != "Inconclusive" else EXIT_INCONCLUSIVE
+        return _scan_exit(args, sc, seed)
 
     if args.command == "local":
         fspec = fn.parse_function(args.f)
         center = tuple(complex(c) for c in args.center.split(","))
         sc = norms.local_scan_ball(fspec, args.p, center, args.radius, cfg=cfg,
                                    complement=args.complement)
-        v = norms.classify(sc)
-        print(f"{sc.describe()}: {v.klass} rate={fmt(v.rate)} r2={fmt(v.r2)}")
-        if args.out:
-            write_csv(_scan_rows("local", sc, v, seed), args.out)
-        if args.plot_data:
-            emit_plot_data(sc, v, args.plot_data)
-        return EXIT_OK if v.klass != "Inconclusive" else EXIT_INCONCLUSIVE
+        return _scan_exit(args, sc, seed)
 
     if args.command == "levi-check":
         from .geometry import check_levi_estimate, levi_form_min_eigenvalue
@@ -336,14 +364,11 @@ def _dispatch(args, file_cfg):
         return EXIT_OK if rep.ok else EXIT_ERROR
 
     if args.command == "lemma":
-        reports = _run_lemma(args, cfg)
-        rows = []
-        for rep in reports:
-            print("\n".join(rep.summary_lines()))
-            rows += acceptance._report_rows(0, rep, seed)
+        rep = _run_lemma(args, cfg)
+        print("\n".join(rep.summary_lines()))
         if args.out:
-            write_csv(rows, args.out)
-        return _report_exit(reports)
+            write_csv(acceptance._report_rows(0, rep, seed), args.out)
+        return _report_exit(rep)
 
     if args.command == "witness":
         fspec = fn.parse_function(args.f)
@@ -392,46 +417,23 @@ def _dispatch(args, file_cfg):
                         "seed": seed} for p, nrm, kl in res.terms], args.out)
         return EXIT_OK
 
-    if args.command == "reproduce":
-        seeds = (tuple(int(s) for s in args.seeds.split(","))
-                 if args.seeds else acceptance.DEFAULT_SEEDS)
-        criteria = (tuple(int(c) for c in args.criteria.split(","))
-                    if args.criteria else None)
-        outdir = args.out or "acceptance_out"
-        os.makedirs(outdir, exist_ok=True)
-        results = acceptance.run_all(seeds=seeds, criteria=criteria)
-        by_cid = {}
-        for res in results:
-            by_cid.setdefault(res.cid, []).append(res)
-        all_ok = True
-        for cid, group in sorted(by_cid.items()):
-            rows = [row for res in group for row in res.rows]
-            write_csv(rows, os.path.join(outdir, f"criterion_{cid:02d}.csv"))
-            ok = all(res.passed for res in group)
-            all_ok = all_ok and ok
-            print(f"criterion {cid:2d}: {'PASS' if ok else 'FAIL'} "
-                  f"(seeds {', '.join(str(res.seed) for res in group)})")
-        print(f"acceptance suite: {'PASS' if all_ok else 'FAIL'}; "
-              f"CSV written to {outdir}/")
-        return EXIT_OK if all_ok else EXIT_ERROR
-
     raise UsageError(f"unknown command {args.command!r}")
 
 
 def _run_lemma(args, cfg):
     if args.id == "2.2":
-        return [ex.verify_lemma_2_2(n=args.n, q=args.q, cfg=cfg)]
+        return ex.verify_lemma_2_2(n=args.n, q=args.q, cfg=cfg)
     if args.id == "2.5":
-        return [ex.verify_local_bound(n=args.n, cfg=cfg)]
+        return ex.verify_local_bound(n=args.n, cfg=cfg)
     if args.id == "3.1":
-        return [ex.verify_lemma_3_1(lam_kind=args.lam, cfg=cfg)]
+        return ex.verify_lemma_3_1(lam_kind=args.lam, cfg=cfg)
     if args.id == "4.2":
-        return [ex.verify_lemma_4_2(domain=parse_domain(args.domain), cfg=cfg)]
+        return ex.verify_lemma_4_2(domain=parse_domain(args.domain), cfg=cfg)
     if args.id == "4.3":
-        return [ex.verify_lemma_4_3(domain=parse_domain(args.domain), q=args.q,
-                                    cfg=cfg)]
+        return ex.verify_lemma_4_3(domain=parse_domain(args.domain), q=args.q,
+                                   cfg=cfg)
     if args.id == "5.1":
-        return [ex.verify_lemma_5_1(n=max(args.n, 3), cfg=cfg)]
+        return ex.verify_lemma_5_1(n=max(args.n, 3), cfg=cfg)
     raise UsageError(f"unknown lemma id {args.id}")
 
 

@@ -18,8 +18,7 @@ import numpy as np
 from . import functions as fn
 from . import norms
 from . import quadrature as quad
-from .geometry import (Domain, boundary_dense_sequence, parse_domain,
-                       rng_stream, to_complex, to_real)
+from .geometry import Domain, boundary_dense_sequence, parse_domain
 
 
 @dataclass
@@ -79,17 +78,18 @@ def _case(label, p, expected, membership, expected_class=""):
 # Lemma reports
 # ---------------------------------------------------------------------------
 
-def verify_lemma_2_2(n=2, zeta=(1.0, 0.0), q=1.5, cfg=None, grid=None):
-    """Membership thresholds of the Cauchy kernel, its log, and its powers.
+def verify_lemma_2_2(n=2, q=1.5, cfg=None):
+    """Membership thresholds of the Cauchy kernel, its log, and its powers at
+    zeta = (1, 0).
 
     Expected: f_zeta in H^p exactly for p < n (log-divergent at p = n,
     power-divergent beyond), log f_zeta in every H^p, and the power variant
     carrying threshold q.
     """
     cfg = cfg or norms.QuadConfig()
-    grid = grid or norms.ApproachGrid("radial", 4, 20)
+    grid = norms.ApproachGrid("radial", 4, 20)
     t0 = time.time()
-    zeta = tuple(complex(z) for z in zeta)
+    zeta = (1.0 + 0j, 0j)
     sphere = norms.SphereSurface(n)
     families = (
         ("cauchy kernel", fn.Cauchy(zeta),
@@ -145,83 +145,26 @@ class LocalBoundReport:
         ]
 
 
-ALPHA_REFINE_STEPS = 60  # projected-ascent steps after the random search
-
-
-def minimize_alpha(zeta, cap_center, cap_radius, n, samples=1_000_000, seed=7):
-    """inf of 1 - Re<z, zeta> over (S - G) cap {Re<z, zeta> >= 0}.
-
-    Best-of random search followed by projected gradient ascent on Re<z, zeta>
-    along the cap rim; the constraint set is compact so the infimum is
-    attained and positive whenever zeta lies in the open cap G.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    cap_center = np.asarray(cap_center, dtype=complex)
-    rng = rng_stream(seed, 0xA1FA)
-    best_z, best_val = None, np.inf
-    batch = 200_000
-    done = 0
-    while done < samples:
-        nb = min(batch, samples - done)
-        g = rng.standard_normal((nb, 2 * n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        z = to_complex(g)
-        dot = np.real(np.sum(z * np.conj(zeta), axis=1))
-        outside = np.linalg.norm(z - cap_center, axis=1) >= cap_radius
-        ok = outside & (dot >= 0.0)
-        if ok.any():
-            vals = 1.0 - dot[ok]
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val = float(vals[i])
-                best_z = z[ok][i]
-        done += nb
-    if best_z is None or best_val <= 1e-9:
-        raise norms.NormError("cap parameters inconsistent with zeta in G")
-    # projected ascent on Re<z, zeta>; project back onto the sphere and,
-    # when the cap constraint activates, onto its rim
-    x = to_real(best_z)
-    xz = to_real(zeta)
-    xc = to_real(cap_center)
-    step = 0.05
-    for _ in range(ALPHA_REFINE_STEPS):
-        cand = x + step * xz
-        cand /= np.linalg.norm(cand)
-        if np.linalg.norm(cand - xc) < cap_radius:
-            # slide onto the rim: scale the component away from the center
-            w = cand - xc
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            cand = xc + w * (cap_radius / nw)
-            cand /= np.linalg.norm(cand)
-            if np.linalg.norm(cand - xc) < cap_radius:
-                step *= 0.5
-                continue
-        val = 1.0 - float(cand @ xz)
-        if val < best_val and float(cand @ xz) >= 0.0:
-            best_val = val
-            x = cand
-        else:
-            step *= 0.5
-    return best_val
-
-
-def verify_local_bound(n=2, zeta=(1.0, 0.0), eps_cap=0.5, cfg=None, grid=None):
+def verify_local_bound(n=2, eps_cap=0.5, cfg=None):
     """Lemma about the cap complement: the complement integral of |f_zeta|^n
     stays below sigma(S)/alpha^n for every radius while the cap integral
-    diverges."""
+    diverges, for zeta = (1, 0) and the cap G = S cap B(zeta, eps_cap).
+
+    alpha = inf of 1 - Re<z, zeta> over (S - G) cap {Re<z, zeta> >= 0}.  On S,
+    1 - Re<z, zeta> = |z - zeta|^2 / 2, which is at least eps_cap^2 / 2 off
+    the open cap and equal to it on the rim, so alpha = eps_cap^2 / 2.
+    """
     cfg = cfg or norms.QuadConfig()
-    grid = grid or norms.ApproachGrid("radial", 4, 20)
+    grid = norms.ApproachGrid("radial", 4, 20)
     t0 = time.time()
-    zeta = tuple(complex(z) for z in zeta)
+    zeta = (1.0 + 0j, 0j)
     f = fn.Cauchy(zeta)
     if eps_cap >= math.sqrt(2.0):
         # the cap covers the closed half {z . zeta >= 0}: the constraint set is
         # empty, alpha = inf over the empty set, and the bound holds trivially
         alpha, bound = math.inf, 0.0
     else:
-        alpha = minimize_alpha(zeta, zeta, eps_cap, n, seed=cfg.seed)
+        alpha = eps_cap ** 2 / 2.0
         bound = quad.sphere_area(n) / alpha ** n
     comp = norms.local_scan_ball(f, float(n), zeta, eps_cap, grid, cfg,
                                  complement=True)
@@ -236,20 +179,19 @@ def verify_local_bound(n=2, zeta=(1.0, 0.0), eps_cap=0.5, cfg=None, grid=None):
                             config={"n": n, "eps_cap": eps_cap, "seed": cfg.seed})
 
 
-def verify_lemma_3_1(domain=None, lam_kind="rescaled", f=None, p=1.5,
-                     zeta=(1.0, 0.0), cfg=None, grid_rho=None, grid_lam=None,
-                     radii=(0.4, 0.2)):
+def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
     """Containment between local Hardy classes for two defining functions.
 
-    Scans f on rho-levels restricted to U and on lambda-levels restricted to
-    V (V inside U, both centered at a boundary point), and reports the
-    empirical constant kappa = sup_V^lambda / sup_U^rho.
+    Scans f = 1/Q at p = 1.5 on the rho-levels of the ellipsoid a = (1, 2)
+    restricted to U = B(zeta, 0.4) and on lambda-levels restricted to
+    V = B(zeta, 0.2), zeta = (1, 0), and reports the empirical constant
+    kappa = sup_V^lambda / sup_U^rho.
     """
     cfg = cfg or norms.QuadConfig()
-    domain = domain or parse_domain("ellipsoid:a=1,2")
-    zeta = tuple(complex(z) for z in zeta)
-    if f is None:
-        f = fn.LeviReciprocal(domain, zeta)
+    domain = parse_domain("ellipsoid:a=1,2")
+    zeta = (1.0 + 0j, 0j)
+    p = 1.5
+    f = fn.LeviReciprocal(domain, zeta)
     t0 = time.time()
     if lam_kind == "identity":
         lam_domain, lam_method = domain, "parametrized"
@@ -263,12 +205,11 @@ def verify_lemma_3_1(domain=None, lam_kind="rescaled", f=None, p=1.5,
     else:
         raise norms.NormError(f"unknown lambda kind {lam_kind!r}")
 
-    U = norms.OpenBall(zeta, radii[0])
-    V = norms.OpenBall(zeta, radii[1]) if lam_kind != "identity" else U
-    grid_rho = grid_rho or norms.ApproachGrid("level", 0, 14)
-    if grid_lam is None:
-        grid_lam = (norms.ApproachGrid("level", 0, 8) if lam_method == "thin-shell"
-                    else grid_rho)
+    U = norms.OpenBall(zeta, 0.4)
+    V = norms.OpenBall(zeta, 0.2) if lam_kind != "identity" else U
+    grid_rho = norms.ApproachGrid("level", 0, 14)
+    grid_lam = (norms.ApproachGrid("level", 0, 8) if lam_method == "thin-shell"
+                else grid_rho)
 
     sc_rho = norms.level_scan_domain(f, p, domain, grid_rho, cfg, restrict=U)
     v_rho = norms.classify(sc_rho)
@@ -337,14 +278,14 @@ def bisect_critical_exponent(verdict_fn, p_lo, p_hi):
     return lo, hi
 
 
-def verify_lemma_4_2(domain=None, zeta=(1.0, 0.0), cfg=None, grid=None,
-                     bisect=True):
-    """Reciprocal Levi polynomial on an ellipsoid: inside H^p for p < n,
-    divergent at p = 2n - 1; also brackets the empirical critical exponent."""
+def verify_lemma_4_2(domain=None, cfg=None, grid=None, bisect=True):
+    """Reciprocal Levi polynomial at zeta = (1, 0) on an ellipsoid: inside H^p
+    for p < n, divergent at p = 2n - 1; also brackets the empirical critical
+    exponent."""
     cfg = cfg or norms.QuadConfig()
     domain = domain or parse_domain("ellipsoid:a=1,2")
     grid = grid or norms.LEVEL_GRID
-    zeta = tuple(complex(z) for z in zeta)
+    zeta = (1.0 + 0j, 0j)
     n = domain.n
     f = fn.LeviReciprocal(domain, zeta)
     t0 = time.time()
@@ -364,20 +305,19 @@ def verify_lemma_4_2(domain=None, zeta=(1.0, 0.0), cfg=None, grid=None,
                        runtime=time.time() - t0, extras=extras)
 
 
-def verify_lemma_4_3(domain=None, zeta=(1.0, 0.0), q=1.5, cfg=None, grid=None,
-                     u_radius=0.4):
-    """Levi-power function h_q: inside H^p for p < q globally, divergent at
-    p = (2n-1)q/n when restricted to a neighborhood of its singular point."""
+def verify_lemma_4_3(domain=None, q=1.5, cfg=None):
+    """Levi-power function h_q at zeta = (1, 0): inside H^p for p < q globally,
+    divergent at p = (2n-1)q/n when restricted to U = B(zeta, 0.4)."""
     cfg = cfg or norms.QuadConfig()
     domain = domain or parse_domain("ellipsoid:a=1,2")
-    grid = grid or norms.LEVEL_GRID
-    zeta = tuple(complex(z) for z in zeta)
+    grid = norms.LEVEL_GRID
+    zeta = (1.0 + 0j, 0j)
     n = domain.n
     h = fn.LeviPower(domain, zeta, q)
     t0 = time.time()
     m_in = norms.membership_verdict(h, 0.8 * q, norms.LevelSurface(domain), grid, cfg)
     p_out = (2 * n - 1) * q / n
-    U = norms.OpenBall(zeta, u_radius)
+    U = norms.OpenBall(zeta, 0.4)
     m_out = norms.membership_verdict(h, p_out,
                                      norms.LevelSurface(domain, restrict=U), grid, cfg)
     cases = [
@@ -388,21 +328,20 @@ def verify_lemma_4_3(domain=None, zeta=(1.0, 0.0), q=1.5, cfg=None, grid=None,
                                       "seed": cfg.seed}, runtime=time.time() - t0)
 
 
-def verify_lemma_5_1(n=3, y=None, cfg=None, grid=None, u_radius=0.4):
-    """Harmonic kernel threshold (n-1)/(n-2), global and localized at y."""
+def verify_lemma_5_1(n=3, cfg=None):
+    """Harmonic kernel threshold (n-1)/(n-2), global and localized to
+    U = B(y, 0.4) at the pole y = (0, ..., 0, 1)."""
     cfg = cfg or norms.QuadConfig()
-    grid = grid or norms.LEVEL_GRID
-    if y is None:
-        y = tuple([0.0] * (n - 1) + [1.0])
+    grid = norms.LEVEL_GRID
+    y = (0.0,) * (n - 1) + (1.0,)
     t = (n - 1.0) / (n - 2.0)
     t0 = time.time()
-    y = tuple(float(v) for v in y)
     expect = ((0.85 * t, "In"), (t, "Out"), (1.15 * t, "Out"))
     ms = norms.membership_verdicts(fn.HarmonicKernel(y, n), [p for p, _ in expect],
                                    norms.RealLevelSurface(n), grid, cfg)
     cases = [_case("harmonic kernel", p, expected, m)
              for (p, expected), m in zip(expect, ms)]
-    U = norms.OpenBall(y, u_radius)
+    U = norms.OpenBall(y, 0.4)
     sc_loc = norms.harmonic_scan(y, t, n, grid, cfg, restrict=U)
     v_loc = norms.classify(sc_loc)
     m_loc = norms.Membership(norms.membership_from_verdict(v_loc), v_loc, sc_loc)
@@ -452,9 +391,8 @@ PROBE_SCHEDULE = 1.0 - 10.0 ** (-np.arange(1, 19) / 2.0)
 def totally_unbounded_witness(fspec, targets, bound, domain=None):
     """Certify |f| > bound near each boundary target along the inward ray.
 
-    Success requires a probe z strictly inside the domain with |f(z)| > bound,
-    re-verified by direct evaluation; failure after PROBE_SCHEDULE is
-    recorded as data, not an error.
+    Success requires a probe z strictly inside the domain with |f(z)| > bound;
+    failure after PROBE_SCHEDULE is recorded as data, not an error.
     """
     t0 = time.time()
     entries = []
@@ -468,12 +406,11 @@ def totally_unbounded_witness(fspec, targets, bound, domain=None):
             except fn.FunctionError:
                 continue
             if val > bound:
-                recheck = float(np.abs(fn.evaluate(fspec, z)))
                 rho = float(r ** 2 - 1.0) if domain is None else \
                     float(domain.defining.rho(z))
-                if recheck > bound and rho < 0.0:
+                if rho < 0.0:
                     entry = WitnessEntry(target=tuple(tz), success=True,
-                                         probe=tuple(z), value=recheck, rho=rho)
+                                         probe=tuple(z), value=val, rho=rho)
                     break
         entries.append(entry)
     return WitnessReport(bound=float(bound), entries=entries,
@@ -504,18 +441,18 @@ class DensityDemoResult:
 MAX_HALVINGS = 60  # coefficient halvings before the search gives up
 
 
-def density_demo(base, q=1.5, delta=0.01, J=4, bound=1e3, cfg=None,
-                 metric_spec=None, domain=None):
-    """Perturb a base function by J scaled singular powers at quasi-dense
-    boundary points: the perturbation stays metric-close to the base while
-    blowing up near every chosen point.
+def density_demo(base, q=1.5, delta=0.01, J=4, cfg=None):
+    """Perturb a base function on the unit ball by J scaled singular powers at
+    quasi-dense boundary points: the perturbation stays close to the base in
+    the 20-term intersection metric while |f| exceeds 1e3 near every chosen
+    point.
 
     The shared coefficient starts at delta/(4 J (1 + ||phi||_{p_J})) and
     halves until the truncated metric falls below delta.
     """
     cfg = cfg or norms.QuadConfig()
-    domain = domain or parse_domain(f"ball:n={fn.ambient_dim(base)}")
-    metric_spec = metric_spec or norms.IntersectionMetricSpec(q=q, J=20)
+    domain = parse_domain(f"ball:n={fn.ambient_dim(base)}")
+    metric_spec = norms.IntersectionMetricSpec(q=q, J=20)
     t0 = time.time()
     centers = boundary_dense_sequence(domain, J, seed=cfg.seed)
     phis = [fn.PowerCauchy(tuple(w), q) for w in centers]
@@ -538,7 +475,7 @@ def density_demo(base, q=1.5, delta=0.01, J=4, bound=1e3, cfg=None,
         raise norms.NormError(
             f"coefficient search underflow: c={c:g}, metric={metric.value:g}")
 
-    witnesses = totally_unbounded_witness(f, centers, bound, domain=domain)
+    witnesses = totally_unbounded_witness(f, centers, 1e3, domain=domain)
     return DensityDemoResult(coefficient=c, centers=centers, metric=metric,
                              witnesses=witnesses, delta=delta,
                              runtime=time.time() - t0)

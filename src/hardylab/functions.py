@@ -388,8 +388,8 @@ def _parse_poly(body, n):
     return Poly(tuple(terms), n)
 
 
-def parse_function(text, n=2):
-    """Build a function spec from a config string.
+def parse_function(text):
+    """Build a function spec on C^2 (harmonic: R^n) from a config string.
 
     Examples: "cauchy:zeta=1,0", "log:zeta=1,0", "power:q=1.5;zeta=1,0",
     "levi:domain=ellipsoid:a=1,2;zeta=1,0", "levipow:domain=...;q=1.5;zeta=1,0",
@@ -399,9 +399,9 @@ def parse_function(text, n=2):
 
     kind, _, rest = text.strip().partition(":")
     if kind == "const":
-        return Const(complex(rest or 1), n=n)
+        return Const(complex(rest or 1), n=2)
     if kind == "poly":
-        return _parse_poly(rest, n)
+        return _parse_poly(rest, 2)
     kv = {}
     for part in rest.split(";"):
         if not part:

@@ -258,9 +258,6 @@ class Domain:
             return np.ones(d.n)
         return 1.0 / np.sqrt(np.asarray(d.weights))
 
-    def diameter(self):
-        return 2.0 * float(np.max(self.box_halfwidths()))
-
     def eps_max(self):
         """Largest eps for which {rho = -eps} is guaranteed nonempty and smooth."""
         d = self.defining
@@ -360,7 +357,7 @@ def _boundary_scale(domain, dirs):
     return 0.5 * (lo + hi)
 
 
-def project_to_boundary(domain, z, max_iter=100):
+def project_to_boundary(domain, z):
     """Project a point onto {rho = 0}.
 
     Radial scaling for ball/ellipsoid defining functions, Newton steps along
@@ -381,7 +378,7 @@ def project_to_boundary(domain, z, max_iter=100):
     w = z.copy()
     if np.linalg.norm(w) == 0:
         w = np.full(domain.n, 1e-3 + 0j)
-    for _ in range(max_iter):
+    for _ in range(100):
         r = float(defin.rho(w))
         if abs(r) <= BOUNDARY_TOL:
             return w
@@ -392,7 +389,7 @@ def project_to_boundary(domain, z, max_iter=100):
         w = w - r * 2.0 * np.conj(dzv) / gsq
     if abs(float(defin.rho(w))) <= BOUNDARY_TOL:
         return w
-    raise GeometryError("projection did not converge in %d iterations" % max_iter)
+    raise GeometryError("projection did not converge in 100 iterations")
 
 
 # ---------------------------------------------------------------------------

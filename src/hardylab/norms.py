@@ -310,15 +310,15 @@ def point_integral(fspec, p, surface, xval, cfg, k=0):
     return point_integrals(fspec, (p,), surface, xval, cfg, k)[0]
 
 
-def radial_integral(fspec, p, r, cfg=None, surface=None):
+def radial_integral(fspec, p, r, cfg=None):
     """I(r) = int_S |f(r z)|^p dsigma(z), zonal fast path when available."""
     cfg = cfg or QuadConfig()
     if not 0.0 < r < 1.0:
         raise NormError("radius must lie in (0, 1)")
     if p < 1.0:
         raise NormError("p must be >= 1")
-    surface = surface or SphereSurface(fn.ambient_dim(fspec))
-    est, flag = point_integral(fspec, p, surface, r, cfg)
+    est, flag = point_integral(fspec, p, SphereSurface(fn.ambient_dim(fspec)),
+                               r, cfg)
     if flag.startswith("failed"):
         raise NormError(flag)
     return est
@@ -572,10 +572,11 @@ def seminorm_estimate(sc):
     return float(np.max(sc.values[mask]) ** (1.0 / sc.p))
 
 
-def hardy_seminorm(fspec, p, grid=None, surface=None, cfg=None):
-    """sup over the grid of I^{1/p}; raises if the scan diverges."""
+def hardy_seminorm(fspec, p, grid=None, cfg=None):
+    """sup over the grid of I^{1/p} on the unit sphere; raises if the scan
+    diverges."""
     cfg = cfg or QuadConfig()
-    surface = surface or SphereSurface(fn.ambient_dim(fspec))
+    surface = SphereSurface(fn.ambient_dim(fspec))
     if grid is None:
         grid = _default_grid(fspec, surface, cfg)
     sc = scan(fspec, p, grid, surface, cfg)
@@ -614,8 +615,9 @@ class MetricResult:
         return self.value
 
 
-def intersection_metric(f, g, mspec, grid=None, cfg=None, surface=None):
-    """Truncated metric d(f, g) = sum_j 2^-j N_j/(1+N_j), N_j = ||f-g||_{p_j}.
+def intersection_metric(f, g, mspec, grid=None, cfg=None):
+    """Truncated metric d(f, g) = sum_j 2^-j N_j/(1+N_j), N_j = ||f-g||_{p_j}
+    on the unit sphere.
 
     Seminorms are grid sups, lower estimates of the true norms.  Because the
     exponent ladder hugs q, the component scans of in-space functions
@@ -634,7 +636,7 @@ def intersection_metric(f, g, mspec, grid=None, cfg=None, surface=None):
     tail = 2.0 ** (-len(p_values))
     if fn.is_zero(diff):
         return MetricResult(0.0, tail, ())
-    surface = surface or SphereSurface(fn.ambient_dim(diff))
+    surface = SphereSurface(fn.ambient_dim(diff))
     if grid is None:
         grid = _default_grid(diff, surface, cfg)
     value = 0.0

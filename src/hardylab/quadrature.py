@@ -234,10 +234,10 @@ def _nodes_on_panels(edges, m):
     return x.ravel(), w.ravel()
 
 
-def _geometric_edges(lo, hi, jmax, toward=1.0):
-    """Panel edges on [lo, hi] refining geometrically toward ``toward``=hi side."""
+def _geometric_edges(lo, hi, jmax):
+    """Panel edges on [lo, hi] refining geometrically toward 1."""
     base = 1.0 - 2.0 ** (-np.arange(1, jmax + 1))
-    pts = toward - (toward - lo) * (1.0 - base)  # maps 1-2^-j onto [lo, toward]
+    pts = 1.0 - (1.0 - lo) * (1.0 - base)  # maps 1-2^-j onto [lo, 1]
     pts = pts[(pts > lo) & (pts < hi)]
     return np.concatenate([[lo], np.sort(pts), [hi]])
 

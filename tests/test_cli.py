@@ -20,6 +20,26 @@ class TestExitCodes:
     def test_norm_of_divergent_function_errors(self):
         assert run(["norm", "--f", "cauchy:zeta=1,0", "--p", "2"]) == cli.EXIT_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--f", "const:1", "--p", "2", "--plot-data", "x.txt"],
+        ["norm", "--f", "const:1", "--p", "2", "--domain", "ball:n=2"],
+        ["levi-check", "--pairs", "2000", "--plot-data", "x.txt"],
+        ["levi-check", "--pairs", "2000", "--count", "2000"],
+        ["lemma", "--id", "2.5", "--plot-data", "x.txt"],
+        ["witness", "--f", "log:zeta=1,0", "--bound", "10", "--plot-data", "x.txt"],
+        ["witness", "--f", "log:zeta=1,0", "--bound", "10", "--count", "2000"],
+        ["density-demo", "--delta", "10", "--j", "1", "--count", "2000",
+         "--plot-data", "x.txt"],
+        ["metric", "--f", "const:2", "--g", "const:1", "--terms", "2",
+         "--plot-data", "x.txt"],
+        ["reproduce", "--criteria", "2", "--seeds", "7", "--plot-data", "x.txt"],
+        ["reproduce", "--criteria", "2", "--seeds", "7", "--count", "2000"],
+        ["reproduce", "--criteria", "2", "--seeds", "7", "--seed", "11"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_flag_the_command_does_not_read(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == cli.EXIT_USAGE
+
     def test_levi_check_violations_exit(self):
         assert run(["levi-check", "--beta", "1.5", "--pairs", "2000"]) == cli.EXIT_ERROR
         assert run(["levi-check", "--pairs", "2000"]) == cli.EXIT_OK

@@ -28,6 +28,13 @@ class TestLemmaReports:
         assert rep.alpha == pytest.approx(0.125, rel=1e-3)
         assert rep.bound == pytest.approx(quad.sphere_area(2) / 0.125 ** 2, rel=1e-2)
 
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_local_bound_alpha_is_closed_form(self, seed):
+        # alpha = eps_cap^2 / 2 for eps_cap = 0.5, the same on every seed
+        rep = ex.verify_local_bound(cfg=norms.QuadConfig(seed=seed))
+        assert rep.alpha == 0.125
+        assert rep.bound == quad.sphere_area(2) / 0.125 ** 2
+
     def test_full_sphere_cap_makes_complement_trivial(self):
         rep = ex.verify_local_bound(eps_cap=2.0, cfg=CFG)
         # complement empty: measured sup 0 <= bound trivially, cap scan = full scan
@@ -109,20 +116,6 @@ class TestBallEllipsoidConsistency:
                 f_level, p, norms.LevelSurface(dom), norms.LEVEL_GRID, CFG)
             assert m_rad.status == expected
             assert m_lev.status == expected
-
-
-class TestAlphaMinimization:
-    def test_matches_analytic_value(self):
-        # same-center cap: alpha = eps_cap^2 / 2 exactly
-        for eps_cap in (0.5, 0.8):
-            val = ex.minimize_alpha(np.array(E1), np.array(E1), eps_cap, 2,
-                                    samples=200_000, seed=7)
-            assert val == pytest.approx(eps_cap ** 2 / 2, rel=5e-3)
-
-    def test_error_when_cap_covers_positive_hemisphere(self):
-        with pytest.raises(norms.NormError):
-            ex.minimize_alpha(np.array(E1), np.array(E1), 2.5, 2,
-                              samples=10_000, seed=7)
 
 
 class TestWitnesses:
