@@ -182,11 +182,11 @@ def build_parser():
     common(p)
     p.add_argument("--id", required=True,
                    choices=["2.2", "2.5", "3.1", "4.2", "4.3", "5.1"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=float, default=1.5)
-    p.add_argument("--domain", default="ellipsoid:a=1,2")
-    p.add_argument("--lam", default="rescaled",
-                   choices=["identity", "rescaled", "warped"])
+    p.add_argument("--n", type=int, default=None, help="lemmas 2.2, 2.5, 5.1")
+    p.add_argument("--q", type=float, default=None, help="lemmas 2.2, 4.3")
+    p.add_argument("--domain", default=None, help="lemmas 4.2, 4.3")
+    p.add_argument("--lam", default=None, choices=["identity", "rescaled", "warped"],
+                   help="lemma 3.1")
 
     p = sub.add_parser("witness", help="total-unboundedness witness search")
     common(p, count=False)
@@ -271,15 +271,14 @@ def run(argv):
         args = parser.parse_args(argv)
         file_cfg = (ExperimentConfig.read(args.config) if args.config
                     else ExperimentConfig())
+        return _dispatch(args, file_cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_USAGE
-    try:
-        return _dispatch(args, file_cfg)
     except SystemExit as exc:
         return exc.code
-    except (norms.NormError, fn.FunctionError, UsageError, ValueError) as exc:
+    except (norms.NormError, fn.FunctionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -420,21 +419,29 @@ def _dispatch(args, file_cfg):
     raise UsageError(f"unknown command {args.command!r}")
 
 
+# lemma id -> (its verification in experiments, the lemma flags it reads)
+LEMMAS = {"2.2": ("verify_lemma_2_2", ("n", "q")), "2.5": ("verify_local_bound", ("n",)),
+          "3.1": ("verify_lemma_3_1", ("lam",)), "4.2": ("verify_lemma_4_2", ("domain",)),
+          "4.3": ("verify_lemma_4_3", ("domain", "q")), "5.1": ("verify_lemma_5_1", ("n",))}
+
+
 def _run_lemma(args, cfg):
-    if args.id == "2.2":
-        return ex.verify_lemma_2_2(n=args.n, q=args.q, cfg=cfg)
-    if args.id == "2.5":
-        return ex.verify_local_bound(n=args.n, cfg=cfg)
-    if args.id == "3.1":
-        return ex.verify_lemma_3_1(lam_kind=args.lam, cfg=cfg)
-    if args.id == "4.2":
-        return ex.verify_lemma_4_2(domain=parse_domain(args.domain), cfg=cfg)
-    if args.id == "4.3":
-        return ex.verify_lemma_4_3(domain=parse_domain(args.domain), q=args.q,
-                                   cfg=cfg)
-    if args.id == "5.1":
-        return ex.verify_lemma_5_1(n=max(args.n, 3), cfg=cfg)
-    raise UsageError(f"unknown lemma id {args.id}")
+    """The report of lemma ``--id``.  A lemma flag that the id does not read
+    is a usage error; an unset one keeps the verification's default."""
+    name, reads = LEMMAS[args.id]
+    given = {k: getattr(args, k) for k in ("n", "q", "domain", "lam")
+             if getattr(args, k) is not None}
+    unread = [f"--{k}" for k in given if k not in reads]
+    if unread:
+        raise UsageError(f"lemma {args.id} does not read {', '.join(unread)}")
+    if args.id == "5.1" and given.get("n", 3) < 3:
+        raise UsageError("lemma 5.1 needs --n >= 3")
+    if "domain" in given:
+        given["domain"] = parse_domain(given["domain"])
+    if "lam" in given:
+        given["lam_kind"] = given.pop("lam")
+    # looked up at call time, so that a wrapped verification is the one run
+    return getattr(ex, name)(cfg=cfg, **given)
 
 
 def main():

@@ -18,7 +18,7 @@ import numpy as np
 from . import functions as fn
 from . import norms
 from . import quadrature as quad
-from .geometry import Domain, boundary_dense_sequence, parse_domain
+from .geometry import boundary_dense_sequence, parse_domain
 
 
 @dataclass
@@ -196,8 +196,7 @@ def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
     if lam_kind == "identity":
         lam_domain, lam_method = domain, "parametrized"
     elif lam_kind == "rescaled":
-        lam_domain = Domain(parse_domain(
-            f"rescaled:base={domain.describe()};c=2").defining)
+        lam_domain = parse_domain(f"rescaled:base={domain.describe()};c=2")
         lam_method = "parametrized"
     elif lam_kind == "warped":
         lam_domain = parse_domain(f"warped:base={domain.describe()};u=x1")

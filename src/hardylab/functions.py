@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, Rescaled, UnitBall, hermitian, levi_polynomial
-
-_EVAL_TOL = 1e-12
+from .geometry import Domain, UnitBall, hermitian, levi_polynomial, quadric
 
 
 class FunctionError(ValueError):
@@ -39,11 +37,31 @@ class Poly:
     n: int = 2
 
 
+def _check_unit(v, name):
+    if not abs(np.linalg.norm(np.asarray(v, dtype=complex)) - 1.0) <= 1e-9:
+        raise FunctionError(f"{name} must lie on the unit sphere")
+
+
+def _check_q(q):
+    if not q > 1:
+        raise FunctionError("q must exceed 1")
+
+
+def _check_boundary(domain, zeta):
+    if len(zeta) != domain.n:
+        raise FunctionError(f"zeta must have the domain's dimension {domain.n}")
+    if not abs(float(domain.defining.rho(np.asarray(zeta, dtype=complex)))) <= 1e-9:
+        raise FunctionError("zeta must lie on the boundary of the domain")
+
+
 @dataclass(frozen=True)
 class Cauchy:
     """f(z) = 1 / (1 - <z, zeta>) with zeta on the unit sphere."""
 
     zeta: tuple
+
+    def __post_init__(self):
+        _check_unit(self.zeta, "zeta")
 
 
 @dataclass(frozen=True)
@@ -52,30 +70,45 @@ class LogCauchy:
 
     zeta: tuple
 
+    def __post_init__(self):
+        _check_unit(self.zeta, "zeta")
+
 
 @dataclass(frozen=True)
 class PowerCauchy:
-    """exp((n/q) log f_zeta): modulus |f_zeta|^{n/q}, membership threshold q."""
+    """exp((n/q) log f_zeta): modulus |f_zeta|^{n/q}, membership threshold q > 1."""
 
     zeta: tuple
     q: float
+
+    def __post_init__(self):
+        _check_unit(self.zeta, "zeta")
+        _check_q(self.q)
 
 
 @dataclass(frozen=True)
 class LeviReciprocal:
-    """1/Q(., zeta) for the zero-free Levi polynomial of an ellipsoid."""
+    """1/Q(., zeta) for the zero-free Levi polynomial of an ellipsoid, zeta a
+    boundary point."""
 
     domain: Domain
     zeta: tuple
+
+    def __post_init__(self):
+        _check_boundary(self.domain, self.zeta)
 
 
 @dataclass(frozen=True)
 class LeviPower:
-    """exp((n/q) log(1/Q(., zeta))), modulus |Q|^{-n/q}, on an ellipsoid."""
+    """exp((n/q) log(1/Q(., zeta))), modulus |Q|^{-n/q}, q > 1, on an ellipsoid."""
 
     domain: Domain
     zeta: tuple
     q: float
+
+    def __post_init__(self):
+        _check_boundary(self.domain, self.zeta)
+        _check_q(self.q)
 
 
 @dataclass(frozen=True)
@@ -84,6 +117,13 @@ class HarmonicKernel:
 
     y: tuple
     n: int
+
+    def __post_init__(self):
+        if self.n < 3:
+            raise FunctionError("harmonic kernel requires n >= 3")
+        if len(self.y) != self.n:
+            raise FunctionError(f"harmonic kernel pole must have {self.n} coordinates")
+        _check_unit(self.y, "harmonic kernel pole")
 
 
 @dataclass(frozen=True)
@@ -199,14 +239,8 @@ def evaluate(spec, Z):
 
 def _ball_levi_scale(domain):
     """c such that Q(z, zeta) = 2c(1 - <z, zeta>) on the (rescaled) unit ball."""
-    d = domain.defining
-    scale = 1.0
-    while isinstance(d, Rescaled):
-        scale *= d.c
-        d = d.base
-    if isinstance(d, UnitBall):
-        return scale
-    return None
+    base, c, warps = quadric(domain.defining)
+    return c if isinstance(base, UnitBall) and not warps else None
 
 
 def zonal_center(spec):
@@ -315,40 +349,6 @@ def subtract(f, g):
 
 def is_zero(spec):
     return isinstance(spec, Const) and spec.c == 0
-
-
-# ---------------------------------------------------------------------------
-# The named operations
-# ---------------------------------------------------------------------------
-
-def eval_cauchy(zeta, z):
-    return evaluate(Cauchy(tuple(complex(x) for x in zeta)), z)
-
-
-def eval_log(zeta, z):
-    return evaluate(LogCauchy(tuple(complex(x) for x in zeta)), z)
-
-
-def eval_power(zeta, q, z):
-    if q <= 1:
-        raise FunctionError("q must exceed 1")
-    return evaluate(PowerCauchy(tuple(complex(x) for x in zeta), q), z)
-
-
-def eval_levi_reciprocal(domain, zeta, z):
-    return evaluate(LeviReciprocal(domain, tuple(complex(x) for x in zeta)), z)
-
-
-def eval_levi_power(domain, zeta, q, z):
-    if q <= 1:
-        raise FunctionError("q must exceed 1")
-    return evaluate(LeviPower(domain, tuple(complex(x) for x in zeta), q), z)
-
-
-def eval_harmonic_kernel(y, x, n):
-    if n < 3:
-        raise FunctionError("harmonic kernel requires n >= 3")
-    return evaluate(HarmonicKernel(tuple(float(v) for v in y), n), x).real
 
 
 # ---------------------------------------------------------------------------

@@ -156,17 +156,9 @@ class Rescaled:
 
 @dataclass(frozen=True)
 class Warped:
-    """rho = u * rho_base with a smooth positive multiplier u.
-
-    Supported multipliers: "x1", meaning u(z) = exp(Re z_1).
-    """
+    """rho = u * rho_base with the smooth positive multiplier u(z) = exp(Re z_1)."""
 
     base: object
-    multiplier: str = "x1"
-
-    def __post_init__(self):
-        if self.multiplier != "x1":
-            raise GeometryError(f"unknown multiplier {self.multiplier!r}")
 
     @property
     def n(self):
@@ -212,7 +204,7 @@ class Warped:
         return h
 
     def describe(self):
-        return f"warped:base={self.base.describe()};u={self.multiplier}"
+        return f"warped:base={self.base.describe()};u=x1"
 
 
 def grad_norm(defining, Z):
@@ -220,21 +212,38 @@ def grad_norm(defining, Z):
     return 2.0 * np.linalg.norm(defining.dz(Z), axis=-1)
 
 
-def base_weights(defining):
-    """Ellipsoid weights of the underlying quadratic part, or None.
+def quadric(defining):
+    """(base, c, warps): the UnitBall or Ellipsoid under the Rescaled and
+    Warped wrappers of ``defining``, the product c of the rescale factors,
+    and the number of warps."""
+    c, warps = 1.0, 0
+    while isinstance(defining, (Rescaled, Warped)):
+        if isinstance(defining, Rescaled):
+            c *= defining.c
+        else:
+            warps += 1
+        defining = defining.base
+    return defining, c, warps
 
-    Rescaled wrappers fold their factor into the weights (level sets shift);
-    warped definings have no exact ellipsoid structure and return None.
-    """
-    if isinstance(defining, (UnitBall, Ellipsoid)):
-        return defining.weights, 1.0
-    if isinstance(defining, Rescaled):
-        inner = base_weights(defining.base)
-        if inner is None:
-            return None
-        w, c = inner
-        return w, c * defining.c
-    return None
+
+def base_weights(defining):
+    """(weights, c) of the quadric c * (sum_j w_j |z_j|^2 - 1), or None for a
+    warped defining, which has no exact ellipsoid structure."""
+    base, c, warps = quadric(defining)
+    return None if warps else (base.weights, c)
+
+
+def level_weights(domain, eps):
+    """(weights, eps_eff) with {rho = -eps} = {sum_j w_j |z_j|^2 = 1 - eps_eff},
+    or None for a warped domain; raises if that level set is empty."""
+    bw = base_weights(domain.defining)
+    if bw is None:
+        return None
+    w, c = bw
+    eps_eff = eps / c
+    if eps_eff >= 1.0:
+        raise GeometryError("level set empty")
+    return w, eps_eff
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +260,13 @@ class Domain:
 
     def box_halfwidths(self):
         """Per-complex-coordinate half-width of a box containing the closure."""
-        d = self.defining
-        while isinstance(d, (Rescaled, Warped)):
-            d = d.base
-        if isinstance(d, UnitBall):
-            return np.ones(d.n)
-        return 1.0 / np.sqrt(np.asarray(d.weights))
+        return 1.0 / np.sqrt(quadric(self.defining)[0].weights)
 
     def eps_max(self):
         """Largest eps for which {rho = -eps} is guaranteed nonempty and smooth."""
-        d = self.defining
-        scale = 1.0
-        while True:
-            if isinstance(d, Rescaled):
-                scale *= d.c
-                d = d.base
-            elif isinstance(d, Warped):
-                # multiplier exp(x1) >= exp(-b1) on the bounding box
-                b1 = self.box_halfwidths()[0]
-                scale *= np.exp(-b1)
-                d = d.base
-            else:
-                break
-        return 0.9 * scale
+        _, c, warps = quadric(self.defining)
+        # each multiplier exp(x1) is >= exp(-b1) on the bounding box
+        return 0.9 * c * np.exp(-self.box_halfwidths()[0]) ** warps
 
     def describe(self):
         return self.defining.describe()
@@ -301,8 +294,9 @@ def parse_domain(text):
         base = parse_domain(kv["base"]).defining
         return Domain(Rescaled(base, float(kv["c"])))
     if kind == "warped":
-        base = parse_domain(kv["base"]).defining
-        return Domain(Warped(base, kv.get("u", "x1")))
+        if kv.get("u", "x1") != "x1":
+            raise GeometryError(f"unknown multiplier {kv['u']!r}")
+        return Domain(Warped(parse_domain(kv["base"]).defining))
     raise GeometryError(f"unknown domain kind {kind!r}")
 
 
@@ -341,10 +335,9 @@ def boundary_dense_sequence(domain, count, seed=7):
 
 def _boundary_scale(domain, dirs):
     """Solve rho(t * x) = 0 for t > 0 along each direction x (star-shaped rho)."""
-    bw = base_weights(domain.defining)
-    if bw is not None:
-        w, _ = bw
-        return 1.0 / np.sqrt(np.sum(w * np.abs(dirs) ** 2, axis=-1))
+    base, _, warps = quadric(domain.defining)
+    if not warps:  # the quadric's radial scale does not depend on c
+        return 1.0 / np.sqrt(np.sum(base.weights * np.abs(dirs) ** 2, axis=-1))
     # bisection on t; all supported definings are products of a positive factor
     # with a star-shaped quadratic, so rho(t x) is increasing in t near the root
     lo = np.zeros(dirs.shape[0])
@@ -367,14 +360,10 @@ def project_to_boundary(domain, z):
     if np.max(np.abs(z)) > 4.0 * np.max(domain.box_halfwidths()):
         raise GeometryError("point outside the bounding box")
     defin = domain.defining
-    bw = base_weights(defin)
-    if bw is not None:
-        nz = np.linalg.norm(z)
-        if nz == 0:
+    if base_weights(defin) is not None:
+        if np.linalg.norm(z) == 0:
             raise GeometryError("cannot project the origin radially")
-        w, _ = bw
-        t = 1.0 / np.sqrt(np.sum(w * np.abs(z) ** 2))
-        return z * t
+        return z * _boundary_scale(domain, z[None])[0]
     w = z.copy()
     if np.linalg.norm(w) == 0:
         w = np.full(domain.n, 1e-3 + 0j)
@@ -517,15 +506,11 @@ def level_set_sampler(domain, eps, method="parametrized", count=100_000, seed=7,
         raise GeometryError(
             f"eps={eps:g} outside (0, {domain.eps_max():g}) for {domain.describe()}")
     if method == "parametrized":
-        bw = base_weights(domain.defining)
-        if bw is None:
+        level = level_weights(domain, eps)
+        if level is None:
             raise GeometryError("parametrized sampler requires ball/ellipsoid structure")
-        w, c = bw
-        eps_eff = eps / c
-        if eps_eff >= 1.0:
-            raise GeometryError("level set empty")
         return quadrature.parametrized_level_sampler(
-            w, eps_eff, count, seed, singular_center=singular_center)
+            *level, count, seed, singular_center=singular_center)
     if method == "thin-shell":
         return quadrature.thin_shell_sampler(
             domain, eps, count, seed, within=within, focus=singular_center)

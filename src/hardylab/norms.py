@@ -17,7 +17,7 @@ import numpy as np
 
 from . import functions as fn
 from . import quadrature as quad
-from .geometry import Domain, GeometryError, base_weights
+from .geometry import Domain, GeometryError, base_weights, level_weights
 
 LN2 = math.log(2.0)
 GRID_FLOOR = 1e-9
@@ -153,6 +153,17 @@ def _mc_guard(est, r):
     return ""
 
 
+def _region(surface):
+    """(ball, complement): the surface is the part inside the open ball
+    (outside it with ``complement``), all of it for None.  A cap's ball is
+    tested on the unit sphere before scaling by r, a U in ambient coordinates."""
+    if isinstance(surface, CapSurface):
+        return OpenBall(surface.center, surface.radius), surface.complement
+    if isinstance(surface, (LevelSurface, RealLevelSurface)):
+        return surface.restrict, False
+    return None, False
+
+
 def _zonal_ok(fspec, surface, cfg):
     """Whether point_integral takes the deterministic zonal rule on ``surface``:
     f is zonal, fast paths are on, the surface is a sphere up to scale, and
@@ -160,26 +171,18 @@ def _zonal_ok(fspec, surface, cfg):
     zc = fn.zonal_center(fspec)
     if zc is None or cfg.force_mc:
         return False
-    if isinstance(surface, SphereSurface):
-        return True
-    if isinstance(surface, CapSurface):
-        return isinstance(zc, str) or np.allclose(zc, np.asarray(surface.center),
-                                                  atol=1e-12)
     if isinstance(surface, LevelSurface):
         bw = base_weights(surface.domain.defining)  # spheres: all weights 1
         if bw is None or np.any(bw[0] != 1.0):
             return False
-        U = surface.restrict
-        return U is None or (not isinstance(zc, str) and
-                             np.allclose(np.asarray(U.center), zc, atol=1e-12))
-    return False
-
-
-def _cap_indicator(surface):
-    c = np.asarray(surface.center, dtype=complex)
-    if surface.complement:
-        return lambda Z: (np.linalg.norm(Z - c, axis=-1) >= surface.radius).astype(float)
-    return lambda Z: (np.linalg.norm(Z - c, axis=-1) < surface.radius).astype(float)
+    elif not isinstance(surface, (SphereSurface, CapSurface)):
+        return False
+    ball, _ = _region(surface)
+    if ball is None:
+        return True
+    if isinstance(zc, str):  # a constant: zonal about any cap's center, not a U's
+        return isinstance(surface, CapSurface)
+    return np.allclose(np.asarray(ball.center), zc, atol=1e-12)
 
 
 def _powers(a, ps):
@@ -194,21 +197,18 @@ def _powers(a, ps):
 def _zonal_integral(fspec, ps, surface, x):
     """(estimates, area factor) on the zonal path.
 
-    Every zonal surface is the region {Re lam > c} (or its complement) of a
-    sphere of radius R: c = -1 for the whole sphere, the chordal cap threshold
-    for a cap, the re-paired restriction for a ball level set.
+    Every zonal surface is a sphere of radius R, whole (c = -1) or cut by a
+    ball B(center, radius) centered on the zonal direction.  On the sphere of
+    radius rho where the ball is tested the cut is {Re lam > c},
+    c = (rho^2 + 1 - radius^2) / (2 rho): rho = 1 for a cap, R for a level set.
     """
-    R, factor, c, complement = x, 1.0, -1.0, False
-    if isinstance(surface, CapSurface):
-        c, complement = 1.0 - surface.radius ** 2 / 2.0, surface.complement
-    elif isinstance(surface, LevelSurface):
-        eps_eff = x / base_weights(surface.domain.defining)[1]
-        if eps_eff >= 1.0:
-            raise NormError("level set empty")
-        R = math.sqrt(1.0 - eps_eff)
+    R, factor, rho = x, 1.0, 1.0
+    if isinstance(surface, LevelSurface):
+        _, eps_eff = level_weights(surface.domain, x)
+        R = rho = math.sqrt(1.0 - eps_eff)
         factor = R ** (2 * surface.domain.n - 1)
-        if surface.restrict is not None:  # {|R x - center| < radius} as Re lam > c
-            c = (R * R + 1.0 - surface.restrict.radius ** 2) / (2.0 * R)
+    ball, complement = _region(surface)
+    c = -1.0 if ball is None else (rho * rho + 1.0 - ball.radius ** 2) / (2.0 * rho)
     n = surface.domain.n if isinstance(surface, LevelSurface) else surface.n
     gt = lambda lam: _powers(np.abs(fn.zonal_eval(fspec, R * lam)), ps)
     if -1.0 < c < 1.0:
@@ -221,30 +221,32 @@ def _zonal_integral(fspec, ps, surface, x):
 
 def _sphere_mc(fspec, ps, surface, r, cfg, seed):
     """Monte Carlo on the sphere or a cap of it: importance sampling around
-    the singular points inside the region, else uniform nodes."""
+    the singular points inside the region, else uniform nodes; f is
+    evaluated only inside the region."""
     g = lambda Z: _powers(np.abs(fn.evaluate(fspec, r * Z)), ps)
     centers = fn.singular_points(fspec)
     depth = math.sqrt(2.0 * (1.0 - r))
-    if isinstance(surface, SphereSurface):
+    ball, complement = _region(surface)
+    if ball is None:
         if centers:
             return quad.integrate_sphere_importance(g, surface.n, centers, depth,
                                                     cfg.mc_count, seed)
         return quad.integrate_sphere(g, surface.n, cfg.mc_count, seed)
     in_region = [c for c in centers
-                 if (np.linalg.norm(np.asarray(c) - np.asarray(surface.center))
-                     < surface.radius) != surface.complement]
+                 if (np.linalg.norm(np.asarray(c) - np.asarray(ball.center))
+                     < ball.radius) != complement]
     if in_region:
-        cmask = _cap_indicator(surface)
         return quad.integrate_sphere_importance(
-            lambda Z: g(Z) * cmask(Z), surface.n, in_region, depth, cfg.mc_count, seed)
-    return quad.integrate_cap(g, surface.center, surface.radius, surface.n,
-                              cfg.mc_count, seed, complement=surface.complement)
+            quad.inside_only(g, ball.center, ball.radius, complement), surface.n,
+            in_region, depth, cfg.mc_count, seed)
+    return quad.integrate_cap(g, ball.center, ball.radius, surface.n,
+                              cfg.mc_count, seed, complement=complement)
 
 
 def _level_mc(fspec, ps, surface, eps, cfg, seed):
     """Level-set rule of the surface's method, restricted to U if given."""
     g = lambda Z: _powers(np.abs(fn.evaluate(fspec, Z)), ps)
-    U = surface.restrict
+    U, _ = _region(surface)
     centers = [np.asarray(c, dtype=complex) for c in fn.singular_points(fspec)]
     count = (cfg.thin_shell_proposals if surface.method == "thin-shell"
              else cfg.level_count)
@@ -261,17 +263,15 @@ def _harmonic_integral(fspec, ps, surface, eps):
     n = surface.n
     R = math.sqrt(1.0 - eps)
     gap = eps / (1.0 + R)  # 1 - R without cancellation
-    y = np.asarray(fspec.y, dtype=float)
-    if abs(np.linalg.norm(y) - 1.0) > 1e-9:
-        raise NormError("harmonic kernel pole must lie on the unit sphere")
     expos = [-((n - 2) * p / 2.0) for p in ps]
     # |R x - y|^2 = (1-R)^2 + 2 R u in the gap variable u = 1 - x.y
     G = lambda u: _powers(gap * gap + 2.0 * R * u, expos)
     u_hi = 2.0
-    if surface.restrict is not None:
-        if not np.allclose(np.asarray(surface.restrict.center), y, atol=1e-12):
+    U, _ = _region(surface)
+    if U is not None:
+        if not np.allclose(np.asarray(U.center), fspec.y, atol=1e-12):
             raise NormError("harmonic restriction must be centered at the pole")
-        u_hi = (surface.restrict.radius ** 2 - gap * gap) / (2.0 * R)
+        u_hi = (U.radius ** 2 - gap * gap) / (2.0 * R)
     return quad.integrate_real_zonal(G, n, u_hi=u_hi), R ** (n - 1)
 
 
@@ -549,7 +549,6 @@ def level_scan_domain(fspec, p, domain, grid=None, cfg=None, restrict=None,
                       method="parametrized"):
     """Scan of level-set integrals of |f|^p over {rho = -eps}, optionally
     restricted to an open set U."""
-    cfg = cfg or QuadConfig()
     surface = LevelSurface(domain, method=method, restrict=restrict)
     return scan(fspec, p, grid or LEVEL_GRID, surface, cfg)
 
@@ -558,7 +557,6 @@ def harmonic_scan(y, p, n, grid=None, cfg=None, restrict=None):
     """Scan of intphi_y^p over the inner level spheres of the real unit ball."""
     if n < 3:
         raise NormError("harmonic scans require n >= 3")
-    cfg = cfg or QuadConfig()
     fspec = fn.HarmonicKernel(tuple(float(v) for v in y), n)
     surface = RealLevelSurface(n, restrict=restrict)
     return scan(fspec, p, grid or LEVEL_HARMONIC, surface, cfg)

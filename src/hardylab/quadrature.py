@@ -99,6 +99,21 @@ def reduce_nodes(weights, vals, method, error=None):
     return IntegralEstimate(float(total), math.sqrt(max(var, 0.0)), count, method)
 
 
+def inside_only(g, center, radius, complement=False):
+    """g at the nodes inside the open ball {|Z - center| < radius} (outside it
+    with ``complement``), 0 at the others, where g is not evaluated."""
+    c = np.asarray(center, dtype=complex)
+
+    def restricted(Z):
+        inside = (np.linalg.norm(Z - c, axis=-1) < radius) != complement
+        vals = np.asarray(g(Z[inside]), dtype=float)
+        out = np.zeros(vals.shape[:-1] + inside.shape)
+        out[..., inside] = vals
+        return out
+
+    return restricted
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo on the unit sphere of C^n
 # ---------------------------------------------------------------------------
@@ -614,16 +629,11 @@ def integrate_level_set(g, domain, eps, method="parametrized", count=100_000,
     """Integral of g over {rho = -eps} against Euclidean surface measure.
 
     ``within`` (center, radius) restricts the integral to the open ball
-    {|Z - center| < radius}, the open set U of local Hardy norms; the
-    thin-shell proposal box shrinks to it.
+    {|Z - center| < radius}, the open set U of local Hardy norms: g sees only
+    the nodes inside it, and the thin-shell proposal box shrinks to it.
     """
     from .geometry import level_set_sampler  # sampler construction is geometric
 
     sampler = level_set_sampler(domain, eps, method=method, count=count, seed=seed,
                                 singular_center=singular_center, within=within)
-    if within is None:
-        return sampler.integrate(g)
-    center, radius = within
-    c = np.asarray(center, dtype=complex)
-    return sampler.integrate(lambda Z: np.asarray(g(Z), dtype=float)
-                             * (np.linalg.norm(Z - c, axis=-1) < radius))
+    return sampler.integrate(g if within is None else inside_only(g, *within))

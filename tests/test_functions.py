@@ -19,20 +19,20 @@ def interior_points(count, n=2, seed=0):
 
 class TestCauchy:
     def test_origin(self):
-        assert fn.eval_cauchy(E1, np.zeros(2)) == pytest.approx(1.0)
+        assert fn.evaluate(fn.Cauchy(E1), np.zeros(2)) == pytest.approx(1.0)
 
     def test_along_ray(self):
         for r in (0.3, 0.9, 0.999):
             z = r * np.array(E1)
-            assert fn.eval_cauchy(E1, z) == pytest.approx(1 / (1 - r), rel=1e-12)
+            assert fn.evaluate(fn.Cauchy(E1), z) == pytest.approx(1 / (1 - r), rel=1e-12)
 
     def test_cross_coordinate(self):
-        val = fn.eval_cauchy(E1, np.array([0.5, 0.5j]))
+        val = fn.evaluate(fn.Cauchy(E1), np.array([0.5, 0.5j]))
         assert val == pytest.approx(2.0)
 
     def test_outside_ball_raises(self):
         with pytest.raises(fn.FunctionError):
-            fn.eval_cauchy(E1, np.array([1.0 + 0j, 0.5j]))
+            fn.evaluate(fn.Cauchy(E1), np.array([1.0 + 0j, 0.5j]))
 
     @pytest.mark.parametrize("zeta", [(1.0 + 0j, 0j), (0j, 1j)])
     def test_near_singularity_stability(self, zeta):
@@ -41,17 +41,17 @@ class TestCauchy:
             r = 1 - 2.0 ** (-k)
             if 1 - r < 1e-9:
                 break
-            val = fn.eval_cauchy(zeta, r * np.array(zeta))
+            val = fn.evaluate(fn.Cauchy(zeta), r * np.array(zeta))
             assert abs(val - 1 / (1 - r)) / abs(1 / (1 - r)) < 1e-9
 
 
 class TestLog:
     def test_origin_zero(self):
-        assert fn.eval_log(E1, np.zeros(2)) == pytest.approx(0.0)
+        assert fn.evaluate(fn.LogCauchy(E1), np.zeros(2)) == pytest.approx(0.0)
 
     def test_real_on_ray(self):
         r = 0.99
-        val = fn.eval_log(E1, r * np.array(E1))
+        val = fn.evaluate(fn.LogCauchy(E1), r * np.array(E1))
         assert val.imag == pytest.approx(0.0, abs=1e-15)
         assert val.real == pytest.approx(np.log(1 / (1 - r)), rel=1e-12)
 
@@ -63,12 +63,12 @@ class TestLog:
 
 class TestPower:
     def test_origin_one(self):
-        assert fn.eval_power(E1, 1.5, np.zeros(2)) == pytest.approx(1.0)
+        assert fn.evaluate(fn.PowerCauchy(E1, 1.5), np.zeros(2)) == pytest.approx(1.0)
 
     def test_unit_exponent_on_ray(self):
         # n/q = 1 when q = n = 2
         r = 0.75
-        assert fn.eval_power(E1, 2.0, r * np.array(E1)) == pytest.approx(1 / (1 - r))
+        assert fn.evaluate(fn.PowerCauchy(E1, 2.0), r * np.array(E1)) == pytest.approx(1 / (1 - r))
 
     def test_modulus_identity(self):
         z = interior_points(2_000, seed=8)
@@ -78,7 +78,7 @@ class TestPower:
 
     def test_q_validation(self):
         with pytest.raises(fn.FunctionError):
-            fn.eval_power(E1, 1.0, np.zeros(2))
+            fn.PowerCauchy(E1, 1.0)
 
 
 class TestLeviFunctions:
@@ -89,23 +89,23 @@ class TestLeviFunctions:
         assert np.max(np.abs(lev - cau / 2)) < 1e-12 * np.max(np.abs(cau))
 
     def test_ellipsoid_value(self):
-        val = fn.eval_levi_reciprocal(ELL, E1, np.array([0.9 + 0j, 0j]))
+        val = fn.evaluate(fn.LeviReciprocal(ELL, E1), np.array([0.9 + 0j, 0j]))
         assert val == pytest.approx(5.0, rel=1e-12)
 
     def test_ray_approach(self):
         eps = 1e-4
-        val = fn.eval_levi_reciprocal(BALL, E1, (1 - eps) * np.array(E1))
+        val = fn.evaluate(fn.LeviReciprocal(BALL, E1), (1 - eps) * np.array(E1))
         assert val == pytest.approx(1 / (2 * eps), rel=1e-9)
 
     def test_outside_zero_free_region(self):
         with pytest.raises(fn.FunctionError, match="zero-free"):
-            fn.eval_levi_reciprocal(ELL, E1, np.array([2.0 + 0j, 0j]))
+            fn.evaluate(fn.LeviReciprocal(ELL, E1), np.array([2.0 + 0j, 0j]))
 
     def test_levi_power_values(self):
         eps = 1e-3
-        val = fn.eval_levi_power(BALL, E1, 2.0, (1 - eps) * np.array(E1))
+        val = fn.evaluate(fn.LeviPower(BALL, E1, 2.0), (1 - eps) * np.array(E1))
         assert val == pytest.approx(1 / (2 * eps), rel=1e-9)
-        assert fn.eval_levi_power(BALL, E1, 1.5, np.zeros(2)) == pytest.approx(
+        assert fn.evaluate(fn.LeviPower(BALL, E1, 1.5), np.zeros(2)) == pytest.approx(
             2 ** (-2 / 1.5))
 
     def test_levi_power_modulus_law(self):
@@ -122,14 +122,14 @@ class TestHarmonic:
     def test_values(self):
         y3 = (0.0, 0.0, 1.0)
         x = np.array([0.0, 0.0, 0.5])
-        assert fn.eval_harmonic_kernel(y3, x, 3) == pytest.approx(2.0)
+        assert fn.evaluate(fn.HarmonicKernel(y3, 3), x).real == pytest.approx(2.0)
         y4 = (0.0, 0.0, 0.0, 1.0)
         x4 = np.array([0.0, 0.0, 0.0, 0.5])
-        assert fn.eval_harmonic_kernel(y4, x4, 4) == pytest.approx(4.0)
+        assert fn.evaluate(fn.HarmonicKernel(y4, 4), x4).real == pytest.approx(4.0)
 
     def test_singularity_error(self):
         with pytest.raises(fn.FunctionError):
-            fn.eval_harmonic_kernel((0, 0, 1.0), np.array([0.0, 0.0, 1.0]), 3)
+            fn.evaluate(fn.HarmonicKernel((0, 0, 1.0), 3), np.array([0.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_discrete_laplacian_vanishes(self, n):
