@@ -266,7 +266,7 @@ class Domain:
         """Largest eps for which {rho = -eps} is guaranteed nonempty and smooth."""
         _, c, warps = quadric(self.defining)
         # each multiplier exp(x1) is >= exp(-b1) on the bounding box
-        return 0.9 * c * np.exp(-self.box_halfwidths()[0]) ** warps
+        return 0.9 * (c * np.exp(-self.box_halfwidths()[0]) ** warps)
 
     def describe(self):
         return self.defining.describe()
@@ -360,10 +360,11 @@ def project_to_boundary(domain, z):
     if np.max(np.abs(z)) > 4.0 * np.max(domain.box_halfwidths()):
         raise GeometryError("point outside the bounding box")
     defin = domain.defining
-    if base_weights(defin) is not None:
+    base, _, warps = quadric(defin)
+    if not warps:
         if np.linalg.norm(z) == 0:
             raise GeometryError("cannot project the origin radially")
-        return z * _boundary_scale(domain, z[None])[0]
+        return z * (1.0 / np.sqrt(np.sum(base.weights * np.abs(z) ** 2)))
     w = z.copy()
     if np.linalg.norm(w) == 0:
         w = np.full(domain.n, 1e-3 + 0j)
