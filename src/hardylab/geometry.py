@@ -236,14 +236,13 @@ def base_weights(defining):
 def level_weights(domain, eps):
     """(weights, eps_eff) with {rho = -eps} = {sum_j w_j |z_j|^2 = 1 - eps_eff},
     or None for a warped domain; raises if that level set is empty."""
-    bw = base_weights(domain.defining)
-    if bw is None:
+    base, c, warps = quadric(domain.defining)
+    if warps:
         return None
-    w, c = bw
     eps_eff = eps / c
     if eps_eff >= 1.0:
         raise GeometryError("level set empty")
-    return w, eps_eff
+    return base.weights, eps_eff
 
 
 # ---------------------------------------------------------------------------
