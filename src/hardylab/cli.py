@@ -20,6 +20,7 @@ from . import acceptance
 from . import experiments as ex
 from . import functions as fn
 from . import norms
+from . import quadrature as quad
 from .geometry import parse_domain
 
 CSV_HEADER = ["experiment_id", "lemma_id", "case_label", "p", "grid_param",
@@ -227,8 +228,31 @@ def _seed(args, file_cfg):
 def _quad_config(args, file_cfg):
     cfg = norms.QuadConfig(seed=_seed(args, file_cfg))
     if getattr(args, "count", None) is not None:  # levi-check, witness take none
+        if args.count < quad.MIN_COUNT:
+            raise UsageError(f"--count {args.count}: the node budget must be "
+                             f"at least {quad.MIN_COUNT}")
         cfg = replace(cfg, mc_count=args.count, level_count=args.count)
     return cfg
+
+
+def _grid(kind, args, default):
+    """The scan grid of --kmin/--kmax; a bound left unset is the default's."""
+    return norms.ApproachGrid(
+        kind, default.k_min if args.kmin is None else args.kmin,
+        default.k_max if args.kmax is None else args.kmax)
+
+
+def _int_list(flag, text, valid=None):
+    """The integers of a comma list.  A non-integer, or an id outside
+    ``valid`` when given, is a usage error naming what the flag accepts."""
+    accepted = "integers" if valid is None else f"ids {min(valid)}-{max(valid)}"
+    try:
+        ids = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        ids = None
+    if ids is None or (valid is not None and not all(i in valid for i in ids)):
+        raise UsageError(f"{flag} {text!r}: expected a comma list of {accepted}")
+    return ids
 
 
 def _scan_rows(name, sc, verdict, seed):
@@ -285,10 +309,10 @@ def run(argv):
 
 def _dispatch(args, file_cfg):
     if args.command == "reproduce":
-        seeds = (tuple(int(s) for s in args.seeds.split(","))
-                 if args.seeds else acceptance.DEFAULT_SEEDS)
-        criteria = (tuple(int(c) for c in args.criteria.split(","))
-                    if args.criteria else None)
+        seeds = (acceptance.DEFAULT_SEEDS if args.seeds is None
+                 else _int_list("--seeds", args.seeds))
+        criteria = (None if args.criteria is None
+                    else _int_list("--criteria", args.criteria, acceptance.CRITERIA))
         outdir = args.out or "acceptance_out"
         os.makedirs(outdir, exist_ok=True)
         results = acceptance.run_all(seeds=seeds, criteria=criteria)
@@ -328,13 +352,11 @@ def _dispatch(args, file_cfg):
         fspec = fn.parse_function(args.f)
         domain = parse_domain(args.domain)
         if args.surface == "level":
-            grid = norms.ApproachGrid("level", args.kmin or 0, args.kmax or 12)
+            grid = _grid("level", args, norms.LEVEL_GRID)
             sc = norms.level_scan_domain(fspec, args.p, domain, grid, cfg)
         else:
             surface = norms.SphereSurface(fn.ambient_dim(fspec))
-            default = norms._default_grid(fspec, surface, cfg)
-            grid = norms.ApproachGrid("radial", args.kmin or default.k_min,
-                                      args.kmax or default.k_max)
+            grid = _grid("radial", args, norms._default_grid(fspec, surface, cfg))
             sc = norms.scan(fspec, args.p, grid, surface, cfg)
         return _scan_exit(args, sc, seed)
 

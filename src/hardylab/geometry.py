@@ -154,6 +154,12 @@ class Rescaled:
         return f"rescaled:base={self.base.describe()};c={self.c:g}"
 
 
+def warp_multiplier(x1, warps=1):
+    """exp(warps * x1): the multiplier u(z) = exp(Re z_1) of Warped, raised to
+    the number of nested warps, at points whose Re z_1 is x1."""
+    return np.exp(warps * x1)
+
+
 @dataclass(frozen=True)
 class Warped:
     """rho = u * rho_base with the smooth positive multiplier u(z) = exp(Re z_1)."""
@@ -166,7 +172,7 @@ class Warped:
 
     def _u(self, Z):
         Z = np.asarray(Z, dtype=complex)
-        return np.exp(Z[..., 0].real)
+        return warp_multiplier(Z[..., 0].real)
 
     def rho(self, Z):
         return self._u(Z) * self.base.rho(Z)

@@ -22,11 +22,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc, betaincinv, roots_legendre
 
-from .geometry import grad_norm, rng_stream, to_complex, to_real
+from .geometry import (grad_norm, quadric, rng_stream, to_complex, to_real,
+                       warp_multiplier)
 
 OVERFLOW_LIMIT = 1e300
+MIN_COUNT = 100  # fewest nodes a sphere Monte Carlo rule, or --count, takes
 SHELL_CHUNK_ROWS = 65_536  # thin-shell proposals evaluated per step
 SHELL_EPS_DIVISOR = 10.0   # thin-shell half-width h = eps / 10
+SHELL_SCREEN_MARGIN = 1e-12  # screen slack, relative to the uncancelled |rho|
 
 
 class QuadratureError(RuntimeError):
@@ -132,8 +135,8 @@ def _unit_gaussians(rng, count, d):
 
 def integrate_sphere(g, n, count=100_000, seed=7):
     """Unbiased Monte Carlo of g against the unnormalized surface measure."""
-    if count < 100:
-        raise QuadratureError("count must be >= 100")
+    if count < MIN_COUNT:
+        raise QuadratureError(f"count must be >= {MIN_COUNT}")
     z = sample_sphere(n, count, seed)
     return reduce_nodes(sphere_area(n), g(z), "mc-sphere", "iid")
 
@@ -148,8 +151,8 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
     mean(g/q) is unbiased for any integrand; the band grading matches the
     octave-by-octave mass profile of the boundary-singular integrands.
     """
-    if count < 100:
-        raise QuadratureError("count must be >= 100")
+    if count < MIN_COUNT:
+        raise QuadratureError(f"count must be >= {MIN_COUNT}")
     centers = [np.asarray(c, dtype=complex) for c in centers]
     if not centers:
         return integrate_sphere(g, n, count, seed)
@@ -548,6 +551,21 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
                           points=pts_c * R, weights=w * jac, strata=strata)
 
 
+def shell_screen(X, weights, c, warps, eps, h):
+    """Mask of the real proposals X (rows x1, y1, ..., xn, yn) that may lie in
+    the shell |rho + eps| < h of rho = c exp(warps x1) (sum_j w_j |z_j|^2 - 1).
+
+    The quadric is evaluated in real coordinates and a row is dropped only
+    when it misses the shell by more than SHELL_SCREEN_MARGIN times the
+    uncancelled size c exp(warps x1) (sum_j w_j |z_j|^2 + 1).  That margin
+    is far above the rounding gap to the exact rho, so every row the exact
+    test accepts passes, and far below h at every grid level.
+    """
+    s = (X * X) @ np.repeat(weights, 2)
+    m = c * warp_multiplier(X[:, 0], warps) if warps else c
+    return np.abs(m * (s - 1.0) + eps) < h + SHELL_SCREEN_MARGIN * m * (s + 1.0)
+
+
 def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     """Coarea shell estimator for {rho = -eps}: rejection sampling in a box.
 
@@ -585,8 +603,11 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
         half = np.max(span) * 2.0 ** (-np.arange(K, dtype=float))
         los = np.maximum(lo[None, :], c[None, :] - half[:, None])
         his = np.minimum(hi[None, :], c[None, :] + half[:, None])
-    vols = np.prod(his - los, axis=1)
+    spans = his - los
+    vols = np.prod(spans, axis=1)
     K = len(vols)
+    base, scale, warps = quadric(domain.defining)
+    a = base.weights
 
     rng = rng_stream(seed, 0x7541)
     accepted, weights = [], []
@@ -601,10 +622,11 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
         for start in range(0, nb, SHELL_CHUNK_ROWS):
             cc = comp[start:start + SHELL_CHUNK_ROWS]
             U = rng.random((cc.size, 2 * domain.n))
-            X = los[cc] + U * (his[cc] - los[cc])
+            X = np.take(spans, cc, axis=0) * U + np.take(los, cc, axis=0)
+            # the exact rho only decides among the proposals the screen keeps
+            X = X[shell_screen(X, a, scale, warps, eps, h)]
             Z = to_complex(X)
-            r = domain.defining.rho(Z)
-            mask = np.abs(r + eps) < h
+            mask = np.abs(domain.defining.rho(Z) + eps) < h
             if mask.any():
                 Xa = X[mask]
                 Za = Z[mask]

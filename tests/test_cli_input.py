@@ -32,3 +32,40 @@ def test_lemma_flag_the_id_does_not_read(argv, capsys):
     assert len(CASES) == 17
     assert cli.run(["lemma", *argv]) == cli.EXIT_USAGE
     assert argv[2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds,kind,rows", [
+    (["--surface", "level", "--kmax", "0"], "level", 1),
+    (["--kmin", "0", "--kmax", "3"], "radial", 4),
+], ids=["level-kmax0", "radial-kmin0"])
+def test_a_zero_grid_bound_is_a_bound(bounds, kind, rows, tmp_path):
+    out = tmp_path / "scan.csv"
+    code = cli.run(["scan", "--f", "cauchy:zeta=1,0", "--p", "2", *bounds,
+                    "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE)
+    lines = out.read_text().splitlines()[2:]
+    assert len(lines) == rows
+    if kind == "radial":  # k = 0 is r = 0, not the default k_min = 2
+        assert float(lines[0].split(",")[4]) == 0.0
+
+
+@pytest.mark.parametrize("count", ["-5", "0", "99"])
+def test_count_below_the_rule_floor_is_a_usage_error(count, capsys):
+    argv = ["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--surface", "level",
+            "--count", count]
+    assert cli.run(argv) == cli.EXIT_USAGE
+    assert "--count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--criteria", "11"], ["--criteria", "0"], ["--criteria", "1,x"],
+    ["--criteria", "2,"], ["--seeds", "x"], ["--seeds", "7,1.5"],
+], ids=lambda flags: f"{flags[0]}={flags[1]}")
+def test_reproduce_list_outside_its_ids_is_a_usage_error(flags, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert cli.run(["reproduce", "--out", str(outdir), *flags]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flags[0] in err and "Traceback" not in err
+    if flags[0] == "--criteria":
+        assert "ids 1-10" in err
+    assert not outdir.exists()

@@ -1,5 +1,5 @@
-"""Level-set rules: the per-process strata cache of the parametrized sampler
-and the chunked rejection loop of the thin-shell sampler."""
+"""Level-set rules: the per-process strata cache of the parametrized sampler,
+and the chunked, screened rejection loop of the thin-shell sampler."""
 
 import math
 
@@ -10,11 +10,18 @@ from hardylab import experiments as ex
 from hardylab import geometry as geo
 from hardylab import norms
 from hardylab import quadrature as quad
-from hardylab.geometry import grad_norm, rng_stream, to_complex, to_real
+from hardylab.geometry import (Domain, Ellipsoid, Rescaled, UnitBall, Warped,
+                               grad_norm, quadric, rng_stream, to_complex, to_real)
 
 ELL = geo.parse_domain("ellipsoid:a=1,2")
 WARP = geo.parse_domain("warped:base=ellipsoid:a=1,2;u=x1")
+RESCALED_WARP = Domain(Rescaled(Warped(Ellipsoid((1, 2))), 2.0))
+WARPED_RESCALED = Domain(Warped(Rescaled(UnitBall(2), 0.5)))
+WARP_TWICE = Domain(Warped(Warped(Ellipsoid((1, 2)))))
+BALL = Domain(UnitBall(2))
 E1 = np.array([1.0 + 0j, 0j])
+# the deepest level of the warped containment scan of lemma 3.1
+DEEP_EPS = 0.2 * 2.0 ** -8
 strata_cache = quad._sphere_nodes_stratified
 
 
@@ -75,6 +82,12 @@ def _thin_shell_reference(domain, eps, proposals, seed, h=None, within=None,
     (WARP, 0.05, 2_000_000 + 3 * quad.SHELL_CHUNK_ROWS + 17, 7, {}),
     (ELL, 0.02, 5 * quad.SHELL_CHUNK_ROWS + 1001, 11, {"focus": E1}),
     (ELL, 0.05, 4 * quad.SHELL_CHUNK_ROWS - 3, 13, {"within": (E1, 0.3)}),
+    (WARP, DEEP_EPS, 6 * quad.SHELL_CHUNK_ROWS + 5, 7,
+     {"within": (E1, 0.2), "focus": E1}),
+    (RESCALED_WARP, 0.05, 3 * quad.SHELL_CHUNK_ROWS + 17, 11, {"focus": E1}),
+    (WARPED_RESCALED, 0.05, 3 * quad.SHELL_CHUNK_ROWS + 17, 13, {}),
+    (WARP_TWICE, 0.05, 3 * quad.SHELL_CHUNK_ROWS + 17, 7, {"within": (E1, 0.3)}),
+    (BALL, 0.05, 3 * quad.SHELL_CHUNK_ROWS + 17, 11, {}),
 ])
 def test_thin_shell_chunks_reproduce_the_single_batch_draw(domain, eps, proposals,
                                                            seed, kw):
@@ -84,6 +97,46 @@ def test_thin_shell_chunks_reproduce_the_single_batch_draw(domain, eps, proposal
     assert np.array_equal(s.weights, w)
     assert s.count == len(w)
     assert s.proposals == proposals
+
+
+def _shell_boundary_points(domain, eps, h, count, seed):
+    """Points along random rays from the origin at which rho + eps is within
+    1e-13 of -h or of +h, by bisection on the sign of rho - target."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((count, 2 * domain.n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rho = lambda t: domain.defining.rho(to_complex(dirs * t[:, None]))
+    out = []
+    for target in (-eps - h, -eps + h):
+        lo = np.zeros(count)  # rho(0) = -c < target
+        hi = np.full(count, 4.0 * np.max(domain.box_halfwidths()))
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            below = rho(mid) < target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        for t in (lo, hi):
+            assert np.max(np.abs(rho(t) - target)) < 1e-13
+            out.append(dirs * t[:, None])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("domain", [WARP, RESCALED_WARP, WARPED_RESCALED,
+                                    WARP_TWICE, BALL, ELL],
+                         ids=lambda d: d.describe())
+@pytest.mark.parametrize("eps", [DEEP_EPS, 1e-9], ids=["deep", "floor"])
+def test_shell_screen_keeps_every_proposal_the_exact_test_accepts(domain, eps):
+    h = eps / quad.SHELL_EPS_DIVISOR
+    b = np.repeat(domain.box_halfwidths(), 2)
+    raw = -b + 2.0 * b * rng_stream(5, 0x5C).random((1_000_000, b.size))
+    X = np.concatenate([raw, _shell_boundary_points(domain, eps, h, 20_000, 3)])
+    base, c, warps = quadric(domain.defining)
+    screen = quad.shell_screen(X, base.weights, c, warps, eps, h)
+    exact = np.abs(domain.defining.rho(to_complex(X)) + eps) < h
+    assert exact[raw.shape[0]:].sum() > 10_000  # the boundary points test the edge
+    assert np.all(screen[exact])
+    # and the screen is a screen: it drops nearly all the raw misses
+    missed = ~exact[:raw.shape[0]]
+    assert np.count_nonzero(screen[:raw.shape[0]] & missed) <= 1e-3 * missed.sum()
 
 
 def _strata_sampler(eps=0.05, count=4_000, seed=7):
