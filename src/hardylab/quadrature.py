@@ -562,7 +562,7 @@ def shell_screen(X, weights, c, warps, eps, h):
     test accepts passes, and far below h at every grid level.
     """
     s = (X * X) @ np.repeat(weights, 2)
-    m = c * warp_multiplier(X[:, 0], warps) if warps else c
+    m = c * warp_multiplier(X[:, 0], warps)
     return np.abs(m * (s - 1.0) + eps) < h + SHELL_SCREEN_MARGIN * m * (s + 1.0)
 
 
