@@ -236,10 +236,14 @@ def _quad_config(args, file_cfg):
 
 
 def _grid(kind, args, default):
-    """The scan grid of --kmin/--kmax; a bound left unset is the default's."""
-    return norms.ApproachGrid(
-        kind, default.k_min if args.kmin is None else args.kmin,
-        default.k_max if args.kmax is None else args.kmax)
+    """The scan grid of --kmin/--kmax; a bound left unset is the default's.
+    Bounds the grid refuses are a usage error."""
+    try:
+        return norms.ApproachGrid(
+            kind, default.k_min if args.kmin is None else args.kmin,
+            default.k_max if args.kmax is None else args.kmax)
+    except norms.NormError as exc:
+        raise UsageError(f"--kmin/--kmax: {exc}") from exc
 
 
 def _int_list(flag, text, valid=None):

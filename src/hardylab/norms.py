@@ -52,6 +52,9 @@ class ApproachGrid:
             raise NormError(f"unknown grid kind {self.kind!r}")
         if self.k_max < self.k_min:
             raise NormError("empty grid")
+        if self.k_min < 0:
+            raise NormError(f"grid index k_min = {self.k_min} < 0 is no approach "
+                            "to the boundary")
         vals = self.values()
         if self.kind == "radial" and np.any(1.0 - vals < GRID_FLOOR):
             raise NormError("radial grid exceeds the 1 - r >= 1e-9 floor")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaincinv, roots_legendre
+from scipy.special import betainc, roots_legendre
 
 from .geometry import (grad_norm, quadric, rng_stream, to_complex, to_real,
                        warp_multiplier)
@@ -453,6 +453,79 @@ def _band_fraction(a, u1, u2):
     return betainc(a, a, u2) - betainc(a, a, u1)
 
 
+BAND_TAYLOR_PHI = 1.0   # below it S_m(phi) is summed as a Taylor series
+NEWTON_RTOL = 1e-10     # a relative step this small leaves an error ~ m rtol^2
+NEWTON_MAX_STEPS = 40   # n <= 4 needs 4-6; the cap ends only a stall at rounding noise
+
+
+@lru_cache(maxsize=16)
+def _sin_power_series(m):
+    """S_m(pi) and the Taylor coefficients c_j of
+    S_m(phi) = int_0^phi sin^{2m} = phi^{2m+1} sum_j c_j phi^{2j},
+    enough of them that the first one left out is below 1e-18 c_0 at
+    phi = BAND_TAYLOR_PHI."""
+    s_pi = math.pi * math.prod((2 * k - 1) / (2 * k) for k in range(1, m + 1))
+    terms = 40 + 2 * m
+    sinc = [(-1) ** k / math.factorial(2 * k + 1) for k in range(terms)]
+    b = [1.0] + [0.0] * (terms - 1)  # series of (sin x / x)^{2m} in x^2
+    for _ in range(2 * m):
+        b = [sum(b[i] * sinc[j - i] for i in range(j + 1)) for j in range(terms)]
+    c = [bj / (2 * m + 2 * j + 1) for j, bj in enumerate(b)]
+    x2 = BAND_TAYLOR_PHI ** 2
+    while len(c) > 1 and abs(c[-1]) * x2 ** (len(c) - 1) < 1e-18 * c[0]:
+        c.pop()
+    return s_pi, tuple(c)
+
+
+def _sin_power_integral(phi, m, coeffs):
+    """S_m(phi) = int_0^phi sin^{2m} and its derivative sin^{2m}(phi).
+
+    Above BAND_TAYLOR_PHI the reduction S_k = ((2k-1) S_{k-1} - sin^{2k-1} cos)
+    / (2k) from S_0 = phi; below it the Taylor series, since the reduction
+    cancels to about phi^2 per step there.
+    """
+    s, c = np.sin(phi), np.cos(phi)
+    sc, s2 = s * c, s * s
+    red, power = phi, np.ones_like(phi)  # S_0 and sin^0
+    for k in range(1, m + 1):
+        red = ((2 * k - 1) * red - power * sc) / (2 * k)
+        power = power * s2
+    x2 = phi * phi
+    poly = np.full_like(phi, coeffs[-1])
+    for cj in coeffs[-2::-1]:
+        poly = poly * x2 + cj
+    taylor = phi * x2 ** m * poly
+    return np.where(phi < BAND_TAYLOR_PHI, taylor, red), power
+
+
+def _symmetric_betaincinv(a, y):
+    """x with I_x(a, a) = y, for half-integer a = m + 1/2.
+
+    With x = sin^2(phi/2), I_x(a, a) = S_m(phi) / S_m(pi), S_m(phi) the
+    integral of sin^{2m} over [0, phi].  The law is symmetric, so the solve
+    runs on min(y, 1 - y), whose root lies in [0, pi/2] where S_m is convex:
+    Newton from the power-law start phi^{2m+1} / (2m + 1) = S_m(phi) lands
+    above the root and then falls to it monotonically.
+    """
+    m = a - 0.5
+    if m < 0 or m != int(m):
+        raise QuadratureError(f"band inverse needs a half-integer a >= 1/2, got {a}")
+    m = int(m)
+    s_pi, coeffs = _sin_power_series(m)
+    y = np.asarray(y, dtype=float)
+    upper = y > 0.5
+    t = np.where(upper, 1.0 - y, y) * s_pi
+    phi = np.minimum(((2 * m + 1) * t) ** (1.0 / (2 * m + 1)), np.pi / 2)
+    for _ in range(NEWTON_MAX_STEPS):
+        S, dS = _sin_power_integral(phi, m, coeffs)
+        step = np.divide(S - t, dS, out=np.zeros_like(phi), where=dS > 0)
+        phi = np.clip(phi - step, phi / 2, np.pi / 2)
+        if np.all(np.abs(step) <= NEWTON_RTOL * phi):
+            break
+    half = np.sin(phi / 2) ** 2
+    return np.where(upper, 1.0 - half, half)
+
+
 def _sample_band(a, u1, u2, count, rng):
     """Exact uniform-on-sphere cosines within a band, via truncated Beta inversion."""
     u = rng.random(count)
@@ -460,10 +533,10 @@ def _sample_band(a, u1, u2, count, rng):
         g1 = betainc(a, a, 1.0 - u1)
         g2 = betainc(a, a, 1.0 - u2)
         tail = g2 + u * (g1 - g2)
-        return 1.0 - betaincinv(a, a, np.maximum(tail, 1e-300))
+        return 1.0 - _symmetric_betaincinv(a, np.maximum(tail, 1e-300))
     f1 = betainc(a, a, u1)
     f2 = betainc(a, a, u2)
-    return betaincinv(a, a, f1 + u * (f2 - f1))
+    return _symmetric_betaincinv(a, f1 + u * (f2 - f1))
 
 
 MAX_RINGS = 26  # ring strata (chordal radii 2^{1-m}) around a sphere point

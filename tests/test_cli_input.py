@@ -49,6 +49,18 @@ def test_a_zero_grid_bound_is_a_bound(bounds, kind, rows, tmp_path):
         assert float(lines[0].split(",")[4]) == 0.0
 
 
+@pytest.mark.parametrize("surface", [[], ["--surface", "level"]],
+                         ids=["radial", "level"])
+def test_negative_grid_index_is_a_usage_error(surface, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code = cli.run(["scan", "--f", "cauchy:zeta=1,0", "--p", "2", *surface,
+                    "--kmin", "-3", "--kmax", "3", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--kmin/--kmax" in err and "k_min = -3" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["-5", "0", "99"])
 def test_count_below_the_rule_floor_is_a_usage_error(count, capsys):
     argv = ["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--surface", "level",

@@ -43,6 +43,11 @@ class TestGrids:
         with pytest.raises(norms.NormError):
             norms.ApproachGrid("radial", 5, 4)
 
+    @pytest.mark.parametrize("kind", ["radial", "level"])
+    def test_negative_index_refused(self, kind):
+        with pytest.raises(norms.NormError, match="k_min = -1"):
+            norms.ApproachGrid(kind, -1, 3)
+
 
 class TestRadialIntegral:
     def test_constant_gives_area(self):

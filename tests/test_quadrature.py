@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import betainc, betaincinv, gammaln
 
 from hardylab import functions as fn
 from hardylab import geometry as geo
@@ -158,6 +158,57 @@ class TestImportanceSampler:
         a = quad.integrate_sphere_importance(g, 2, [tuple(E1)], 0.3, 50_000, seed=3)
         b = quad.integrate_sphere_importance(g, 2, [tuple(E1)], 0.3, 50_000, seed=3)
         assert a.value == b.value
+
+
+def _band_targets(seed):
+    """CDF targets in [1e-120, 1): uniform, and log-uniform in both tails."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.random(20_000),
+                           10.0 ** rng.uniform(-120, 0, 20_000),
+                           1.0 - 10.0 ** rng.uniform(-16, -1, 5_000)])
+
+
+class _EdgeDraws:
+    """A stand-in generator whose uniform draws include both ends of [0, 1)."""
+
+    def random(self, count):
+        return np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                               np.linspace(0.0, 1.0, count - 4, endpoint=False)])
+
+
+class TestBandInverse:
+    @pytest.mark.parametrize("a", [1.5, 2.5, 3.5])
+    def test_cdf_residual_is_relative_to_the_target(self, a):
+        y = _band_targets(int(2 * a))
+        x = quad._symmetric_betaincinv(a, y)
+        assert np.all(np.abs(betainc(a, a, x) - y) <= 1e-13 * y)
+
+    @pytest.mark.parametrize("a", [1.5, 2.5, 3.5])
+    def test_matches_scipy_inverse(self, a):
+        y = _band_targets(int(2 * a) + 1)
+        ref = betaincinv(a, a, y)
+        ok = np.isfinite(ref)
+        np.testing.assert_allclose(quad._symmetric_betaincinv(a, y)[ok], ref[ok],
+                                   rtol=1e-12, atol=0.0)
+
+    def test_arcsine_law_in_closed_form(self):
+        y = _band_targets(1)
+        np.testing.assert_allclose(quad._symmetric_betaincinv(0.5, y),
+                                   np.sin(np.pi * y / 2.0) ** 2, rtol=1e-14)
+
+    @pytest.mark.parametrize("a", [1.5, 2.5, 3.5])
+    def test_ring_band_draws_stay_in_their_band(self, a):
+        u = (1.0 + quad._ring_t_edges(1e-9)) / 2.0  # the finest ring scale
+        assert len(u) == quad.MAX_RINGS + 2
+        assert u[1] >= 0.5 > u[0]  # band 0 takes the head branch, the rest the tail
+        for i in range(len(u) - 1):
+            for rng in (_EdgeDraws(), geo.rng_stream(3, i)):
+                x = quad._sample_band(a, u[i], u[i + 1], 10_000, rng)
+                assert np.all((x >= u[i]) & (x <= u[i + 1])), i
+
+    def test_integer_parameter_is_refused(self):
+        with pytest.raises(quad.QuadratureError):
+            quad._sample_band(2.0, 0.2, 0.4, 100, geo.rng_stream(3, 0))
 
 
 class TestStratifiedLevel:
