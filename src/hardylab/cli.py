@@ -367,6 +367,10 @@ def _dispatch(args, file_cfg):
     if args.command == "local":
         fspec = fn.parse_function(args.f)
         center = tuple(complex(c) for c in args.center.split(","))
+        try:  # the cap local_scan_ball scans, built here to check it first
+            norms.CapSurface(fn.ambient_dim(fspec), center, args.radius)
+        except norms.NormError as exc:
+            raise UsageError(f"--center/--radius: {exc}") from exc
         sc = norms.local_scan_ball(fspec, args.p, center, args.radius, cfg=cfg,
                                    complement=args.complement)
         return _scan_exit(args, sc, seed)
@@ -429,7 +433,10 @@ def _dispatch(args, file_cfg):
     if args.command == "metric":
         fspec = fn.parse_function(args.f)
         gspec = fn.parse_function(args.g)
-        mspec = norms.IntersectionMetricSpec(q=args.q, J=args.terms)
+        try:
+            mspec = norms.IntersectionMetricSpec(q=args.q, J=args.terms)
+        except norms.NormError as exc:
+            raise UsageError(f"--terms: {exc}") from exc
         try:
             res = norms.intersection_metric(fspec, gspec, mspec, cfg=cfg)
         except norms.NotInSpaceError as exc:

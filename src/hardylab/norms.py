@@ -17,7 +17,8 @@ import numpy as np
 
 from . import functions as fn
 from . import quadrature as quad
-from .geometry import Domain, GeometryError, base_weights, level_weights
+from .geometry import (Domain, GeometryError, base_weights, level_weights,
+                       quadric)
 
 LN2 = math.log(2.0)
 GRID_FLOOR = 1e-9
@@ -80,12 +81,22 @@ LEVEL_GRID = ApproachGrid("level", 0, 12)
 LEVEL_HARMONIC = ApproachGrid("level", 0, 24)
 
 
+def _check_radius(radius):
+    """Only radius**2 enters a ball's cut, so a radius <= 0 would pass for
+    its absolute value or cut nothing; such balls are refused."""
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise NormError(f"radius {radius:g} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class OpenBall:
     """Open Euclidean ball in the ambient space (the U of local Hardy norms)."""
 
     center: tuple
     radius: float
+
+    def __post_init__(self):
+        _check_radius(self.radius)
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,12 @@ class CapSurface:
     center: tuple
     radius: float
     complement: bool = False
+
+    def __post_init__(self):
+        _check_radius(self.radius)
+        if len(self.center) != self.n:
+            raise NormError(f"cap center has {len(self.center)} coordinates, "
+                            f"expected n = {self.n}")
 
     def describe(self):
         side = "complement" if self.complement else "cap"
@@ -549,9 +566,12 @@ def local_scan_ball(fspec, p, center, radius, grid=None, cfg=None, complement=Fa
 
 
 def level_scan_domain(fspec, p, domain, grid=None, cfg=None, restrict=None,
-                      method="parametrized"):
+                      method=None):
     """Scan of level-set integrals of |f|^p over {rho = -eps}, optionally
-    restricted to an open set U."""
+    restricted to an open set U.  The default rule is the parametrized one
+    where ``level_weights`` scales the level to a quadric, else the thin shell."""
+    if method is None:
+        method = "thin-shell" if quadric(domain.defining)[2] else "parametrized"
     surface = LevelSurface(domain, method=method, restrict=restrict)
     return scan(fspec, p, grid or LEVEL_GRID, surface, cfg)
 
@@ -598,6 +618,10 @@ class IntersectionMetricSpec:
 
     q: float
     J: int = 20
+
+    def __post_init__(self):
+        if self.J < 1:
+            raise NormError(f"J = {self.J} terms: the metric needs at least one")
 
     def p_list(self):
         j = np.arange(1, self.J + 1)

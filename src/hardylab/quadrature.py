@@ -16,6 +16,9 @@ integrand is evaluated still gives one estimate.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +33,7 @@ MIN_COUNT = 100  # fewest nodes a sphere Monte Carlo rule, or --count, takes
 SHELL_CHUNK_ROWS = 65_536  # thin-shell proposals evaluated per step
 SHELL_EPS_DIVISOR = 10.0   # thin-shell half-width h = eps / 10
 SHELL_SCREEN_MARGIN = 1e-12  # screen slack, relative to the uncancelled |rho|
+SHELL_MAX_WORKERS = 4  # thin-shell threads, this one included; each adds a malloc arena
 
 
 class QuadratureError(RuntimeError):
@@ -624,6 +628,41 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
                           points=pts_c * R, weights=w * jac, strata=strata)
 
 
+def shell_workers():
+    """Threads of the thin-shell sampler: the usable cores, at most
+    SHELL_MAX_WORKERS."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, SHELL_MAX_WORKERS))
+
+
+def philox_skip(state, k):
+    """A Philox bit generator standing ``k`` uint64 draws past the Philox
+    ``state`` (a ``bit_generator.state`` dict), reached without drawing them.
+
+    Philox is counter-based: block c of four uint64 depends only on c and the
+    key (Salmon et al., SC'11).  A state whose buffer holds block ``counter``
+    draws its word ``buffer_pos`` next, and an empty buffer (``buffer_pos``
+    4) draws block ``counter`` + 1.  The copy sets the counter one block
+    before the target's, empties the buffer and draws the target's offset
+    within its block.  It keeps the state's ``has_uint32``/``uinteger``, so
+    bounded-integer draws continue as they would have.
+    """
+    s = state["state"]
+    counter = sum(int(word) << (64 * i) for i, word in enumerate(s["counter"]))
+    blocks, rest = divmod(state["buffer_pos"] + int(k), 4)
+    counter = (counter + blocks - 1) % (1 << 256)
+    words = [(counter >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(4)]
+    bits = np.random.Philox(key=s["key"])
+    bits.state = {**state, "buffer_pos": 4,
+                  "state": {"counter": np.array(words, dtype=np.uint64),
+                            "key": s["key"]}}
+    bits.random_raw(rest)
+    return bits
+
+
 def shell_screen(X, weights, c, warps, eps, h):
     """Mask of the real proposals X (rows x1, y1, ..., xn, yn) that may lie in
     the shell |rho + eps| < h of rho = c exp(warps x1) (sum_j w_j |z_j|^2 - 1).
@@ -681,42 +720,78 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     K = len(vols)
     base, scale, warps = quadric(domain.defining)
     a = base.weights
+    d = 2 * domain.n
+    proposals = int(proposals)
+    workers = shell_workers()
+    # one pair of chunk buffers per thread, all allocated on this thread: its
+    # heap has room left by earlier work, while a pool thread's starts empty
+    buffers = [(np.empty((SHELL_CHUNK_ROWS, d)), np.empty((SHELL_CHUNK_ROWS, d)))
+               for _ in range(workers)]
+    local = threading.local()
+
+    def chunk(cc, state, skip):
+        """Accepted nodes and weights of the proposals ``cc``, whose uniforms
+        start ``skip`` draws past the Philox ``state``."""
+        if not hasattr(local, "U"):
+            local.U, local.X = buffers.pop()
+        U, X = local.U[:cc.size], local.X[:cc.size]
+        np.random.Generator(philox_skip(state, skip)).random(out=U)
+        # X = spans[cc] * U + los[cc]; "clip" only because the default mode
+        # copies through a buffer when given out=, and cc is in range
+        np.take(spans, cc, axis=0, out=X, mode="clip")
+        X *= U
+        X += np.take(los, cc, axis=0, out=U, mode="clip")
+        # the exact rho only decides among the proposals the screen keeps
+        X = X[shell_screen(X, a, scale, warps, eps, h)]
+        Z = to_complex(X)
+        mask = np.abs(domain.defining.rho(Z) + eps) < h
+        if not mask.any():
+            return None
+        Xa = X[mask]
+        Za = Z[mask]
+        dens = np.zeros(len(Xa))
+        for k in range(K):
+            inside = np.all((Xa >= los[k]) & (Xa <= his[k]), axis=1)
+            dens += inside / (K * vols[k])
+        return Za, grad_norm(domain.defining, Za) / (2.0 * h * proposals * dens)
 
     rng = rng_stream(seed, 0x7541)
-    accepted, weights = [], []
-    batch = min(int(proposals), 2_000_000)
-    remaining = int(proposals)
-    while remaining > 0:
-        nb = min(batch, remaining)
-        comp = rng.integers(0, K, size=nb) if K > 1 else np.zeros(nb, dtype=int)
-        # U is drawn chunk by chunk: consecutive draws continue one stream, so
-        # the proposals and the order of the accepted nodes are those of one
-        # draw of the whole batch, without its batch-sized temporaries
-        for start in range(0, nb, SHELL_CHUNK_ROWS):
-            cc = comp[start:start + SHELL_CHUNK_ROWS]
-            U = rng.random((cc.size, 2 * domain.n))
-            X = np.take(spans, cc, axis=0) * U + np.take(los, cc, axis=0)
-            # the exact rho only decides among the proposals the screen keeps
-            X = X[shell_screen(X, a, scale, warps, eps, h)]
-            Z = to_complex(X)
-            mask = np.abs(domain.defining.rho(Z) + eps) < h
-            if mask.any():
-                Xa = X[mask]
-                Za = Z[mask]
-                dens = np.zeros(len(Xa))
-                for k in range(K):
-                    inside = np.all((Xa >= los[k]) & (Xa <= his[k]), axis=1)
-                    dens += inside / (K * vols[k])
-                accepted.append(Za)
-                weights.append(grad_norm(domain.defining, Za)
-                               / (2.0 * h * proposals * dens))
-        remaining -= nb
-    if not accepted:
+    jobs, pending = [], {}
+    pool = ThreadPoolExecutor(max(workers - 1, 1))  # threads start on submit
+    try:
+        # the stream holds each 2M-row batch's comp, then its U.  comp is
+        # drawn chunk by chunk, which continues the stream exactly as one
+        # draw of the batch does, and is held in bytes (K <= 16)
+        for first in range(0, proposals, 2_000_000):
+            nb = min(2_000_000, proposals - first)
+            starts = range(0, nb, SHELL_CHUNK_ROWS)
+            comp = np.zeros(nb, dtype=np.uint8)
+            if K > 1:
+                for s in starts:
+                    part = comp[s:s + SHELL_CHUNK_ROWS]
+                    part[:] = rng.integers(0, K, size=part.size)
+            # each chunk draws its U from its own copy of the stream, set to
+            # where one draw of the batch's U would reach it; the pool starts
+            # on them while the next batch's comp is drawn
+            state = rng.bit_generator.state
+            for s in starts:
+                j = len(jobs)
+                jobs.append((comp[s:s + SHELL_CHUNK_ROWS], state, d * s))
+                if j % workers:
+                    pending[j] = pool.submit(chunk, *jobs[j])
+            rng.bit_generator.state = philox_skip(state, d * nb).state
+        own = {j: chunk(*jobs[j]) for j in range(0, len(jobs), workers)}
+        results = [own[j] if j in own else pending[j].result()
+                   for j in range(len(jobs))]
+    finally:  # no chunk outlives the call, also when one raises
+        pool.shutdown(cancel_futures=True)
+    results = [r for r in results if r is not None]
+    if not results:
         raise QuadratureError("shell not hit")
-    pts = np.concatenate(accepted)
-    w = np.concatenate(weights)
+    pts = np.concatenate([r[0] for r in results])
+    w = np.concatenate([r[1] for r in results])
     return SurfaceSampler(method="thin-shell", count=len(w), points=pts,
-                          weights=w, proposals=int(proposals))
+                          weights=w, proposals=proposals)
 
 
 def integrate_level_set(g, domain, eps, method="parametrized", count=100_000,

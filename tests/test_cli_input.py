@@ -81,3 +81,40 @@ def test_reproduce_list_outside_its_ids_is_a_usage_error(flags, tmp_path, capsys
     if flags[0] == "--criteria":
         assert "ids 1-10" in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("cap,names", [
+    (["--center", "1,0", "--radius", "-1"], "radius -1"),
+    (["--center", "1,0", "--radius", "0"], "radius 0"),
+    (["--center", "1,0,0", "--radius", "0.5"], "3 coordinates"),
+], ids=["negative-radius", "zero-radius", "center-of-n3"])
+def test_a_cap_local_cannot_mean_is_a_usage_error(cap, names, tmp_path, capsys):
+    out = tmp_path / "local.csv"
+    code = cli.run(["local", "--f", "cauchy:zeta=1,0", "--p", "2", *cap,
+                    "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--center/--radius" in err and names in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_metric_of_no_terms_is_a_usage_error(terms, tmp_path, capsys):
+    out = tmp_path / "metric.csv"
+    code = cli.run(["metric", "--f", "cauchy:zeta=1,0", "--g", "const:0",
+                    "--terms", terms, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "--terms" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_level_scan_of_a_warped_domain_takes_the_thin_shell(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code = cli.run(["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--surface",
+                    "level", "--domain", "warped:base=ball:n=2;u=x1", "--kmax", "2",
+                    "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE)
+    assert "thin-shell" in capsys.readouterr().out
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 3
+    assert not any("failed:" in r or "truncated" in r for r in rows)

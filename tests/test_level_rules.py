@@ -1,7 +1,8 @@
 """Level-set rules: the per-process strata cache of the parametrized sampler,
-and the chunked, screened rejection loop of the thin-shell sampler."""
+and the chunked, screened, threaded rejection loop of the thin-shell sampler."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -88,6 +89,9 @@ def _thin_shell_reference(domain, eps, proposals, seed, h=None, within=None,
     (WARPED_RESCALED, 0.05, 3 * quad.SHELL_CHUNK_ROWS + 17, 13, {}),
     (WARP_TWICE, 0.05, 3 * quad.SHELL_CHUNK_ROWS + 17, 7, {"within": (E1, 0.3)}),
     (BALL, 0.05, 3 * quad.SHELL_CHUNK_ROWS + 17, 11, {}),
+    # K > 1 across the batch boundary: the second batch's comp continues the
+    # stream past the first batch's U
+    (ELL, 0.02, 2_000_000 + 2 * quad.SHELL_CHUNK_ROWS + 5, 11, {"focus": E1}),
 ])
 def test_thin_shell_chunks_reproduce_the_single_batch_draw(domain, eps, proposals,
                                                            seed, kw):
@@ -97,6 +101,53 @@ def test_thin_shell_chunks_reproduce_the_single_batch_draw(domain, eps, proposal
     assert np.array_equal(s.weights, w)
     assert s.count == len(w)
     assert s.proposals == proposals
+
+
+@pytest.mark.parametrize("pre", [0, 3], ids=["fresh", "after-integers"])
+def test_positioned_philox_draws_the_kth_value_of_the_stream(pre):
+    rng = rng_stream(11, 0x7541)
+    rng.integers(0, 5, size=pre)  # an odd count leaves half a uint64 buffered
+    state = rng.bit_generator.state
+    ks = [0, 1, 2, 3, 4, 5, 7, 8, 2 ** 18 + 3]
+    stream = rng.bit_generator.random_raw(max(ks) + 1)
+    for k in ks:
+        bits = quad.philox_skip(state, k)
+        assert bits.random_raw() == stream[k], k
+        assert bits.state["has_uint32"] == state["has_uint32"]
+        assert bits.state["uinteger"] == state["uinteger"]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_thin_shell_output_does_not_depend_on_the_thread_count(workers,
+                                                               monkeypatch):
+    args = (WARP, DEEP_EPS, 2_000_000 + 5 * quad.SHELL_CHUNK_ROWS + 9, 13)
+    kw = {"within": (E1, 0.2), "focus": E1}
+    ref = quad.thin_shell_sampler(*args, **kw)
+    monkeypatch.setattr(quad, "SHELL_MAX_WORKERS", workers)
+    monkeypatch.setattr(quad.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    assert quad.shell_workers() == workers
+    s = quad.thin_shell_sampler(*args, **kw)
+    assert np.array_equal(s.points, ref.points)
+    assert np.array_equal(s.weights, ref.weights)
+
+
+def test_a_failing_chunk_raises_after_every_chunk_has_stopped(monkeypatch):
+    monkeypatch.setattr(quad, "SHELL_MAX_WORKERS", 3)
+    monkeypatch.setattr(quad.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    main = threading.main_thread()
+
+    def grad_norm_off_main(defining, Z):
+        if threading.current_thread() is not main:
+            raise ValueError("chunk failed")
+        return grad_norm(defining, Z)
+
+    monkeypatch.setattr(quad, "grad_norm", grad_norm_off_main)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="chunk failed"):
+        quad.thin_shell_sampler(ELL, 0.05, 8 * quad.SHELL_CHUNK_ROWS, 7)
+    assert threading.active_count() == before
 
 
 def _shell_boundary_points(domain, eps, h, count, seed):
