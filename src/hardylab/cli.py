@@ -21,7 +21,7 @@ from . import experiments as ex
 from . import functions as fn
 from . import norms
 from . import quadrature as quad
-from .geometry import parse_domain
+from .geometry import base_weights, parse_domain
 
 CSV_HEADER = ["experiment_id", "lemma_id", "case_label", "p", "grid_param",
               "value", "stderr", "verdict", "rate", "r2", "passed", "seed"]
@@ -356,6 +356,9 @@ def _dispatch(args, file_cfg):
         fspec = fn.parse_function(args.f)
         domain = parse_domain(args.domain)
         if args.surface == "level":
+            if args.count is not None and base_weights(domain.defining) is None:
+                raise UsageError(f"--count: a level scan of {domain.describe()} "
+                                 f"takes the thin shell, which does not read it")
             grid = _grid("level", args, norms.LEVEL_GRID)
             sc = norms.level_scan_domain(fspec, args.p, domain, grid, cfg)
         else:
@@ -471,6 +474,10 @@ def _run_lemma(args, cfg):
         raise UsageError("lemma 5.1 needs --n >= 3")
     if "domain" in given:
         given["domain"] = parse_domain(given["domain"])
+        if base_weights(given["domain"].defining) is None:
+            raise UsageError(f"lemma {args.id} --domain "
+                             f"{given['domain'].describe()}: its level sets do "
+                             f"not scale to a quadric, which the lemma's scans need")
     if "lam" in given:
         given["lam_kind"] = given.pop("lam")
     # looked up at call time, so that a wrapped verification is the one run

@@ -14,12 +14,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 BOUNDARY_TOL = 1e-12
 
@@ -318,20 +315,34 @@ def rng_stream(seed, *streams):
     return np.random.Generator(np.random.Philox(key=[int(key), int(mix)]))
 
 
+def _kronecker_alpha(d):
+    """The R_d generator: alpha_j = phi_d^-(j+1), phi_d the positive root of
+    x^(d+1) = x + 1 (M. Roberts, "The unreasonable effectiveness of
+    quasirandom sequences", 2018)."""
+    phi = 2.0
+    for _ in range(64):  # x <- (1 + x)^(1/(d+1)) contracts to the root
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    return phi ** -np.arange(1.0, d + 1.0)
+
+
 def boundary_dense_sequence(domain, count, seed=7):
     """Deterministic quasi-uniform points on the boundary hypersurface.
 
-    Scrambled Sobol directions on the unit sphere of R^{2n}, radially projected
-    onto {rho = 0}.  Empirical covering radius decreases as count grows.
+    The R_d Kronecker sequence in [0, 1)^{2n}, with a Cranley-Patterson shift
+    drawn from the seed, turned into Gaussian vectors by Box-Muller pairs
+    (2n is even) and so into directions on the unit sphere of R^{2n}, then
+    radially projected onto {rho = 0}.  The first k points do not depend on
+    count; the empirical covering radius decreases as count grows.
     """
     if count < 1:
         raise GeometryError("count must be >= 1")
     d = 2 * domain.n
-    m = 1 << max(0, int(np.ceil(np.log2(max(count, 2)))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        u = qmc.Sobol(d=d, scramble=True, seed=seed).random(m)[:count]
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    shift = rng_stream(seed, 0xB0D).random(d)
+    u = (shift + np.arange(1.0, count + 1.0)[:, None] * _kronecker_alpha(d)) % 1.0
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
+    angle = 2.0 * np.pi * u[:, 1::2]
+    g = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    g = g.reshape(count, d)
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     dirs = to_complex(g)
     t = _boundary_scale(domain, dirs)

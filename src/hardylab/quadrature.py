@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, roots_legendre
 
 from .geometry import (grad_norm, quadric, rng_stream, to_complex, to_real,
                        warp_multiplier)
@@ -165,10 +164,11 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
     xs = [to_real(c / np.linalg.norm(c)) for c in centers]
     t_edges = _ring_t_edges(depth_scale)
     u_edges = (1.0 + t_edges) / 2.0
-    fracs = np.array([_band_fraction(a, u_edges[i], u_edges[i + 1])
-                      for i in range(len(u_edges) - 1)])
+    lo, hi, upper = _band_cdf(a, u_edges[:-1], u_edges[1:])
+    fracs = hi - lo
     keep = fracs > 1e-300
     fracs = fracs[keep]
+    bands = list(zip(lo[keep], hi[keep], upper[keep]))
     u_lo = u_edges[:-1][keep]
     u_hi = u_edges[1:][keep]
     t_sorted_edges = np.concatenate([u_lo, [u_hi[-1]]]) * 2.0 - 1.0
@@ -186,7 +186,7 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
             sel = comp == j * M + m
             ns = int(sel.sum())
             if ns:
-                pts[sel] = _band_points(xs[j], u_lo[m], u_hi[m], ns, rng)
+                pts[sel] = _band_points(xs[j], bands[m], ns, rng)
 
     # mixture density relative to the uniform one
     boost = np.full(count, 0.5)
@@ -214,12 +214,13 @@ def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False)
     c = 1.0 - radius ** 2 / 2.0  # chordal radius -> cosine threshold
     u_c = np.clip((1.0 + c) / 2.0, 0.0, 1.0)
     u1, u2 = (0.0, u_c) if complement else (u_c, 1.0)
-    frac = _band_fraction((2 * n - 1) / 2.0, u1, u2)
+    band = _band_cdf((2 * n - 1) / 2.0, u1, u2)
+    frac = band[1] - band[0]
     if frac <= 0.0:
         return IntegralEstimate(0.0, 0.0, 0, "exact-empty")
     center = np.asarray(center, dtype=complex)
     xc = to_real(center / np.linalg.norm(center))
-    x = _band_points(xc, u1, u2, count, rng_stream(seed, 0xCA9, 0))
+    x = _band_points(xc, band, count, rng_stream(seed, 0xCA9, 0))
     return reduce_nodes(sphere_area(n) * frac, g(to_complex(x)), "mc-cap", "iid")
 
 
@@ -240,10 +241,29 @@ ZONAL_ANGULAR_PANELS = 40   # panel edges pi * 2^-j, mirrored in sign
 ZONAL_ANGULAR_NODES = 8
 
 
-@lru_cache(maxsize=32)
+# Gauss-Legendre nodes in (0, 1) and their weights, for the rule sizes the
+# zonal paths use; the rules are symmetric, so the negative half mirrors them.
+# The hex literals are scipy's roots_legendre bit for bit (numpy's leggauss
+# differs in the last bit).
+_GL_HALF = {
+    8: (("0x1.77ac94f3c7346p-3", "0x1.0d129583284b4p-1",
+         "0x1.97e4ab249f41ep-1", "0x1.ebab1cb0acc67p-1"),
+        ("0x1.736360b199344p-2", "0x1.413c50a25561bp-2",
+         "0x1.c76fb531d2b9fp-3", "0x1.9ea1d04ca0346p-4")),
+    10: (("0x1.30e507891e278p-3", "0x1.bbcc009016adcp-2",
+          "0x1.5bdb9228de198p-1", "0x1.bae995e9cb2f2p-1",
+          "0x1.f2a3e062af2d8p-1"),
+         ("0x1.2e9de7014d6f7p-2", "0x1.13baa7a559c05p-2",
+          "0x1.c0b059d00bc38p-3", "0x1.32138c878efe3p-3",
+          "0x1.1115f8b62dbd7p-4")),
+}
+
+
+@lru_cache(maxsize=None)
 def _gl(m):
-    x, w = roots_legendre(m)
-    return x, w
+    """The m-node Gauss-Legendre rule on [-1, 1], nodes ascending."""
+    x, w = (np.array([float.fromhex(h) for h in half]) for half in _GL_HALF[m])
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 def _nodes_on_panels(edges, m):
@@ -450,13 +470,6 @@ def _complement_basis(xc):
     return H[:, 1:]
 
 
-def _band_fraction(a, u1, u2):
-    """Beta(a, a) mass of (u1, u2), using the symmetric tail for precision near 1."""
-    if u1 >= 0.5:
-        return betainc(a, a, 1.0 - u1) - betainc(a, a, 1.0 - u2)
-    return betainc(a, a, u2) - betainc(a, a, u1)
-
-
 BAND_TAYLOR_PHI = 1.0   # below it S_m(phi) is summed as a Taylor series
 NEWTON_RTOL = 1e-10     # a relative step this small leaves an error ~ m rtol^2
 NEWTON_MAX_STEPS = 40   # n <= 4 needs 4-6; the cap ends only a stall at rounding noise
@@ -502,6 +515,36 @@ def _sin_power_integral(phi, m, coeffs):
     return np.where(phi < BAND_TAYLOR_PHI, taylor, red), power
 
 
+def _sin_power_order(a):
+    """m with a = m + 1/2: the closed forms of the Beta(a, a) law need a
+    half-integer a >= 1/2."""
+    m = a - 0.5
+    if m < 0 or m != int(m):
+        raise QuadratureError(f"the band law needs a half-integer a >= 1/2, got {a}")
+    return int(m)
+
+
+def _beta_cdf(a, x):
+    """I_x(a, a) elementwise, for half-integer a = m + 1/2: S_m(phi) / S_m(pi)
+    with x = sin^2(phi/2)."""
+    m = _sin_power_order(a)
+    s_pi, coeffs = _sin_power_series(m)
+    phi = 2.0 * np.arcsin(np.sqrt(x))
+    return _sin_power_integral(phi, m, coeffs)[0] / s_pi
+
+
+def _band_cdf(a, u1, u2):
+    """The Beta(a, a) CDF values (lo, hi) that bound each band (u1, u2),
+    elementwise, and whether the band is held in its upper tail; the band's
+    mass is hi - lo.  A band with u1 >= 1/2 is measured from u = 1,
+    lo = I_{1-u2} and hi = I_{1-u1}, so that a mass near 1 does not cancel
+    against 1.  One call covers every edge of a rule."""
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+    upper = u1 >= 0.5
+    lo, hi = _beta_cdf(a, np.where(upper, [1.0 - u2, 1.0 - u1], [u1, u2]))
+    return lo, hi, upper
+
+
 def _symmetric_betaincinv(a, y):
     """x with I_x(a, a) = y, for half-integer a = m + 1/2.
 
@@ -511,10 +554,7 @@ def _symmetric_betaincinv(a, y):
     Newton from the power-law start phi^{2m+1} / (2m + 1) = S_m(phi) lands
     above the root and then falls to it monotonically.
     """
-    m = a - 0.5
-    if m < 0 or m != int(m):
-        raise QuadratureError(f"band inverse needs a half-integer a >= 1/2, got {a}")
-    m = int(m)
+    m = _sin_power_order(a)
     s_pi, coeffs = _sin_power_series(m)
     y = np.asarray(y, dtype=float)
     upper = y > 0.5
@@ -530,17 +570,19 @@ def _symmetric_betaincinv(a, y):
     return np.where(upper, 1.0 - half, half)
 
 
+def _band_draws(a, band, count, rng):
+    """``count`` draws of the Beta(a, a) law truncated to one band, given as
+    its (lo, hi, upper) from ``_band_cdf``, by inverting the CDF."""
+    lo, hi, upper = band
+    v = lo + rng.random(count) * (hi - lo)
+    if upper:
+        return 1.0 - _symmetric_betaincinv(a, np.maximum(v, 1e-300))
+    return _symmetric_betaincinv(a, v)
+
+
 def _sample_band(a, u1, u2, count, rng):
-    """Exact uniform-on-sphere cosines within a band, via truncated Beta inversion."""
-    u = rng.random(count)
-    if u1 >= 0.5:
-        g1 = betainc(a, a, 1.0 - u1)
-        g2 = betainc(a, a, 1.0 - u2)
-        tail = g2 + u * (g1 - g2)
-        return 1.0 - _symmetric_betaincinv(a, np.maximum(tail, 1e-300))
-    f1 = betainc(a, a, u1)
-    f2 = betainc(a, a, u2)
-    return _symmetric_betaincinv(a, f1 + u * (f2 - f1))
+    """Exact uniform-on-sphere cosines within the band (u1, u2)."""
+    return _band_draws(a, _band_cdf(a, u1, u2), count, rng)
 
 
 MAX_RINGS = 26  # ring strata (chordal radii 2^{1-m}) around a sphere point
@@ -554,12 +596,13 @@ def _ring_t_edges(d_star):
     return np.concatenate([t, [1.0]])
 
 
-def _band_points(xc, u1, u2, count, rng):
-    """``count`` uniform points of S^{d-1} whose cosine to the unit vector xc
-    lies in (2 u1 - 1, 2 u2 - 1): the cosine by truncated Beta inversion, then
-    a uniform tangential direction, both drawn from ``rng`` in that order."""
+def _band_points(xc, band, count, rng):
+    """``count`` uniform points of S^{d-1} whose cosine t to the unit vector xc
+    has (1 + t) / 2 in ``band``, given as its (lo, hi, upper) from
+    ``_band_cdf``: the cosine by truncated Beta inversion, then a uniform
+    tangential direction, both drawn from ``rng`` in that order."""
     d = xc.size
-    t = 2.0 * _sample_band((d - 1) / 2.0, u1, u2, count, rng) - 1.0
+    t = 2.0 * _band_draws((d - 1) / 2.0, band, count, rng) - 1.0
     v = _unit_gaussians(rng, count, d - 1) @ _complement_basis(xc).T
     return t[:, None] * xc[None, :] + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
 
@@ -582,13 +625,14 @@ def _sphere_nodes_stratified(d, center, count, seed, d_star):
     per = max(count // n_strata, 16)
     total_area = sphere_area_real(d)
 
+    lo, hi, upper = _band_cdf(a, u_edges[:-1], u_edges[1:])
     pts, wts, slices = [], [], []
     start = 0
     for i in range(n_strata):
-        frac = _band_fraction(a, u_edges[i], u_edges[i + 1])
+        frac = hi[i] - lo[i]
         if frac <= 0.0:
             continue
-        pts.append(_band_points(center, u_edges[i], u_edges[i + 1], per,
+        pts.append(_band_points(center, (lo[i], hi[i], upper[i]), per,
                                 rng_stream(seed, 0x57A7, i)))
         wts.append(np.full(per, total_area * frac / per))
         slices.append(slice(start, start + per))

@@ -118,3 +118,39 @@ def test_level_scan_of_a_warped_domain_takes_the_thin_shell(tmp_path, capsys):
     rows = out.read_text().splitlines()[2:]
     assert len(rows) == 3
     assert not any("failed:" in r or "truncated" in r for r in rows)
+
+
+@pytest.mark.parametrize("lemma", ["4.2", "4.3"])
+def test_lemma_on_a_warped_domain_is_a_usage_error(lemma, monkeypatch, capsys):
+    # the verification must not run: its scans on a warped domain all fail
+    name = cli.LEMMAS[lemma][0]
+    monkeypatch.setattr(cli.ex, name, lambda **kw: pytest.fail(f"{name} ran"))
+    domain = "warped:base=ellipsoid:a=1,2;u=x1"
+    assert cli.run(["lemma", "--id", lemma, "--domain", domain]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert domain in err and "Traceback" not in err
+
+
+def test_count_on_a_thin_shell_level_scan_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code = cli.run(["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--surface",
+                    "level", "--domain", "warped:base=ball:n=2;u=x1", "--kmax", "2",
+                    "--count", "1000", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--count" in err and "warped:base=ball:n=2;u=x1" in err
+    assert not out.exists()
+
+
+def test_warped_lemma_3_1_still_reads_count(monkeypatch):
+    # its rho side scans a parametrized level, whose node budget --count sets
+    seen = {}
+
+    def recorder(cfg, lam_kind):
+        seen.update(count=cfg.level_count, lam=lam_kind)
+        return cli.ex.LemmaReport("3.1", [], {})
+
+    monkeypatch.setattr(cli.ex, "verify_lemma_3_1", recorder)
+    argv = ["lemma", "--id", "3.1", "--lam", "warped", "--count", "20000"]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert seen == {"count": 20000, "lam": "warped"}
