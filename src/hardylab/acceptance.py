@@ -150,7 +150,7 @@ def criterion_05(seed):
             g = lambda Z: np.abs(fn.evaluate(f, Z)) ** p
             zeta = np.array([1.0 + 0j, 0j])
             e_par = quad.integrate_level_set(
-                g, domain, eps, method="parametrized", count=cfg.level_count,
+                g, domain, eps, method="parametrized", count=cfg.count,
                 seed=seed + 1000 + k, singular_center=zeta)
             e_thin = quad.integrate_level_set(
                 g, domain, eps, method="thin-shell",
@@ -263,23 +263,23 @@ def criterion_10(seed):
     g1 = lambda Z: np.abs(fn.evaluate(f, 0.5 * Z)) ** 1.5
     g2 = lambda Z: np.abs(fn.evaluate(f, 0.5 * Z)) ** 2.0
     combo = lambda Z: 2.0 * g1(Z) + 3.0 * g2(Z)
-    e1 = quad.integrate_sphere(g1, n, cfg.mc_count, seed)
-    e2 = quad.integrate_sphere(g2, n, cfg.mc_count, seed)
-    ec = quad.integrate_sphere(combo, n, cfg.mc_count, seed)
+    e1 = quad.integrate_sphere(g1, n, cfg.count, seed)
+    e2 = quad.integrate_sphere(g2, n, cfg.count, seed)
+    ec = quad.integrate_sphere(combo, n, cfg.count, seed)
     check("positivity", e1.value >= 0 and e2.value >= 0)
     lin_err = abs(ec.value - (2 * e1.value + 3 * e2.value)) / abs(ec.value)
     check("linearity (same seed)", lin_err < 1e-12, f"rel={lin_err:.2e}")
 
     # seed determinism
-    e1b = quad.integrate_sphere(g1, n, cfg.mc_count, seed)
+    e1b = quad.integrate_sphere(g1, n, cfg.count, seed)
     check("seed determinism", e1.value == e1b.value and e1.stderr == e1b.stderr)
 
     # cap + complement = sphere, independent seeds
     zeta = np.array([1.0 + 0j, 0j])
-    ecap = quad.integrate_cap(g1, zeta, 0.8, n, cfg.mc_count, seed + 17)
-    ecomp = quad.integrate_cap(g1, zeta, 0.8, n, cfg.mc_count, seed + 31,
+    ecap = quad.integrate_cap(g1, zeta, 0.8, n, cfg.count, seed + 17)
+    ecomp = quad.integrate_cap(g1, zeta, 0.8, n, cfg.count, seed + 31,
                                complement=True)
-    esph = quad.integrate_sphere(g1, n, cfg.mc_count, seed + 51)
+    esph = quad.integrate_sphere(g1, n, cfg.count, seed + 51)
     gap = abs(ecap.value + ecomp.value - esph.value)
     tol = 3.0 * math.sqrt(ecap.stderr ** 2 + ecomp.stderr ** 2 + esph.stderr ** 2)
     check("cap + complement = sphere", gap <= tol, f"|gap|={gap:.3g} tol={tol:.3g}")
@@ -293,7 +293,7 @@ def criterion_10(seed):
         gt = lambda lam, r=r, p=p: np.abs(1.0 - r * lam) ** (-p)
         gz = lambda Z, r=r, p=p: np.abs(1.0 - r * hermitian(Z, zeta)) ** (-p)
         ez = quad.integrate_zonal(gt, n)
-        em = quad.integrate_sphere(gz, n, cfg.mc_count, seed + 700 + i)
+        em = quad.integrate_sphere(gz, n, cfg.count, seed + 700 + i)
         if abs(ez.value - em.value) <= 3.0 * em.stderr:
             hits += 1
     check("zonal/MC agreement >= 19/20", hits >= 19, f"hits={hits}")

@@ -21,7 +21,7 @@ from . import experiments as ex
 from . import functions as fn
 from . import norms
 from . import quadrature as quad
-from .geometry import base_weights, parse_domain
+from .geometry import parse_domain, quadric
 
 CSV_HEADER = ["experiment_id", "lemma_id", "case_label", "p", "grid_param",
               "value", "stderr", "verdict", "rate", "r2", "passed", "seed"]
@@ -231,7 +231,7 @@ def _quad_config(args, file_cfg):
         if args.count < quad.MIN_COUNT:
             raise UsageError(f"--count {args.count}: the node budget must be "
                              f"at least {quad.MIN_COUNT}")
-        cfg = replace(cfg, mc_count=args.count, level_count=args.count)
+        cfg = replace(cfg, count=args.count)
     return cfg
 
 
@@ -356,7 +356,7 @@ def _dispatch(args, file_cfg):
         fspec = fn.parse_function(args.f)
         domain = parse_domain(args.domain)
         if args.surface == "level":
-            if args.count is not None and base_weights(domain.defining) is None:
+            if args.count is not None and quadric(domain)[2]:
                 raise UsageError(f"--count: a level scan of {domain.describe()} "
                                  f"takes the thin shell, which does not read it")
             grid = _grid("level", args, norms.LEVEL_GRID)
@@ -474,7 +474,7 @@ def _run_lemma(args, cfg):
         raise UsageError("lemma 5.1 needs --n >= 3")
     if "domain" in given:
         given["domain"] = parse_domain(given["domain"])
-        if base_weights(given["domain"].defining) is None:
+        if quadric(given["domain"])[2]:
             raise UsageError(f"lemma {args.id} --domain "
                              f"{given['domain'].describe()}: its level sets do "
                              f"not scale to a quadric, which the lemma's scans need")

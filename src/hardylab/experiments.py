@@ -194,21 +194,19 @@ def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
     f = fn.LeviReciprocal(domain, zeta)
     t0 = time.time()
     if lam_kind == "identity":
-        lam_domain, lam_method = domain, "parametrized"
+        lam_domain = domain
     elif lam_kind == "rescaled":
         lam_domain = parse_domain(f"rescaled:base={domain.describe()};c=2")
-        lam_method = "parametrized"
     elif lam_kind == "warped":
         lam_domain = parse_domain(f"warped:base={domain.describe()};u=x1")
-        lam_method = "thin-shell"
     else:
         raise norms.NormError(f"unknown lambda kind {lam_kind!r}")
 
     U = norms.OpenBall(zeta, 0.4)
     V = norms.OpenBall(zeta, 0.2) if lam_kind != "identity" else U
     grid_rho = norms.ApproachGrid("level", 0, 14)
-    grid_lam = (norms.ApproachGrid("level", 0, 8) if lam_method == "thin-shell"
-                else grid_rho)
+    # a warped lambda side takes the thin shell, whose grid stops at k = 8
+    grid_lam = norms.ApproachGrid("level", 0, 8) if lam_kind == "warped" else grid_rho
 
     sc_rho = norms.level_scan_domain(f, p, domain, grid_rho, cfg, restrict=U)
     v_rho = norms.classify(sc_rho)
@@ -218,8 +216,7 @@ def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
             {"lam": lam_kind, "seed": cfg.seed}, runtime=time.time() - t0,
             extras={"note": "f not in the rho-class; containment skipped"})
 
-    sc_lam = norms.level_scan_domain(f, p, lam_domain, grid_lam, cfg, restrict=V,
-                                     method=lam_method)
+    sc_lam = norms.level_scan_domain(f, p, lam_domain, grid_lam, cfg, restrict=V)
     v_lam = norms.classify(sc_lam)
     mask_r, mask_l = sc_rho.usable_mask(), sc_lam.usable_mask()
     sup_rho = float(np.max(sc_rho.values[mask_r])) if mask_r.any() else np.inf
@@ -406,7 +403,7 @@ def totally_unbounded_witness(fspec, targets, bound, domain=None):
                 continue
             if val > bound:
                 rho = float(r ** 2 - 1.0) if domain is None else \
-                    float(domain.defining.rho(z))
+                    float(domain.rho(z))
                 if rho < 0.0:
                     entry = WitnessEntry(target=tuple(tz), success=True,
                                          probe=tuple(z), value=val, rho=rho)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, UnitBall, hermitian, levi_polynomial, quadric
+from .geometry import UnitBall, hermitian, levi_polynomial, quadric
 
 
 class FunctionError(ValueError):
@@ -50,7 +50,7 @@ def _check_q(q):
 def _check_boundary(domain, zeta):
     if len(zeta) != domain.n:
         raise FunctionError(f"zeta must have the domain's dimension {domain.n}")
-    if not abs(float(domain.defining.rho(np.asarray(zeta, dtype=complex)))) <= 1e-9:
+    if not abs(float(domain.rho(np.asarray(zeta, dtype=complex)))) <= 1e-9:
         raise FunctionError("zeta must lie on the boundary of the domain")
 
 
@@ -91,7 +91,7 @@ class LeviReciprocal:
     """1/Q(., zeta) for the zero-free Levi polynomial of an ellipsoid, zeta a
     boundary point."""
 
-    domain: Domain
+    domain: object
     zeta: tuple
 
     def __post_init__(self):
@@ -102,7 +102,7 @@ class LeviReciprocal:
 class LeviPower:
     """exp((n/q) log(1/Q(., zeta))), modulus |Q|^{-n/q}, q > 1, on an ellipsoid."""
 
-    domain: Domain
+    domain: object
     zeta: tuple
     q: float
 
@@ -239,7 +239,7 @@ def evaluate(spec, Z):
 
 def _ball_levi_scale(domain):
     """c such that Q(z, zeta) = 2c(1 - <z, zeta>) on the (rescaled) unit ball."""
-    base, c, warps = quadric(domain.defining)
+    base, c, warps = quadric(domain)
     return c if isinstance(base, UnitBall) and not warps else None
 
 

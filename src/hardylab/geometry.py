@@ -10,6 +10,8 @@ Conventions used throughout the package:
 * A defining function rho is negative inside the domain, zero on the boundary
   and has non-vanishing gradient there.  Inner level hypersurfaces are
   ``{rho = -eps}`` with ``eps > 0``.
+* A domain is its defining function: ``UnitBall``, ``Ellipsoid``, or either
+  under ``Rescaled`` and ``Warped`` wrappers, as ``parse_domain`` builds it.
 """
 
 from __future__ import annotations
@@ -229,17 +231,10 @@ def quadric(defining):
     return defining, c, warps
 
 
-def base_weights(defining):
-    """(weights, c) of the quadric c * (sum_j w_j |z_j|^2 - 1), or None for a
-    warped defining, which has no exact ellipsoid structure."""
-    base, c, warps = quadric(defining)
-    return None if warps else (base.weights, c)
-
-
 def level_weights(domain, eps):
     """(weights, eps_eff) with {rho = -eps} = {sum_j w_j |z_j|^2 = 1 - eps_eff},
     or None for a warped domain; raises if that level set is empty."""
-    base, c, warps = quadric(domain.defining)
+    base, c, warps = quadric(domain)
     if warps:
         return None
     eps_eff = eps / c
@@ -248,34 +243,20 @@ def level_weights(domain, eps):
     return base.weights, eps_eff
 
 
-# ---------------------------------------------------------------------------
-# Domain
-# ---------------------------------------------------------------------------
+def box_halfwidths(domain):
+    """Per-complex-coordinate half-width of a box containing the closure."""
+    return 1.0 / np.sqrt(quadric(domain)[0].weights)
 
-@dataclass(frozen=True)
-class Domain:
-    defining: object
 
-    @property
-    def n(self):
-        return self.defining.n
-
-    def box_halfwidths(self):
-        """Per-complex-coordinate half-width of a box containing the closure."""
-        return 1.0 / np.sqrt(quadric(self.defining)[0].weights)
-
-    def eps_max(self):
-        """Largest eps for which {rho = -eps} is guaranteed nonempty and smooth."""
-        _, c, warps = quadric(self.defining)
-        # each multiplier exp(x1) is >= exp(-b1) on the bounding box
-        return 0.9 * (c * np.exp(-self.box_halfwidths()[0]) ** warps)
-
-    def describe(self):
-        return self.defining.describe()
+def eps_max(domain):
+    """Largest eps for which {rho = -eps} is guaranteed nonempty and smooth."""
+    _, c, warps = quadric(domain)
+    # each multiplier exp(x1) is >= exp(-b1) on the bounding box
+    return 0.9 * (c * np.exp(-box_halfwidths(domain)[0]) ** warps)
 
 
 def parse_domain(text):
-    """Build a Domain from a config string.
+    """The defining function of a domain, from a config string.
 
     Examples: "ball:n=2", "ellipsoid:a=1,2",
     "rescaled:base=ellipsoid:a=1,2;c=2", "warped:base=ball:n=2;u=x1".
@@ -288,17 +269,16 @@ def parse_domain(text):
         key, _, val = part.partition("=")
         kv[key.strip()] = val.strip()
     if kind == "ball":
-        return Domain(UnitBall(int(kv["n"])))
+        return UnitBall(int(kv["n"]))
     if kind == "ellipsoid":
         a = tuple(float(x) for x in kv["a"].split(","))
-        return Domain(Ellipsoid(a))
+        return Ellipsoid(a)
     if kind == "rescaled":
-        base = parse_domain(kv["base"]).defining
-        return Domain(Rescaled(base, float(kv["c"])))
+        return Rescaled(parse_domain(kv["base"]), float(kv["c"]))
     if kind == "warped":
         if kv.get("u", "x1") != "x1":
             raise GeometryError(f"unknown multiplier {kv['u']!r}")
-        return Domain(Warped(parse_domain(kv["base"]).defining))
+        return Warped(parse_domain(kv["base"]))
     raise GeometryError(f"unknown domain kind {kind!r}")
 
 
@@ -351,16 +331,16 @@ def boundary_dense_sequence(domain, count, seed=7):
 
 def _boundary_scale(domain, dirs):
     """Solve rho(t * x) = 0 for t > 0 along each direction x (star-shaped rho)."""
-    base, _, warps = quadric(domain.defining)
+    base, _, warps = quadric(domain)
     if not warps:  # the quadric's radial scale does not depend on c
         return 1.0 / np.sqrt(np.sum(base.weights * np.abs(dirs) ** 2, axis=-1))
     # bisection on t; all supported definings are products of a positive factor
     # with a star-shaped quadratic, so rho(t x) is increasing in t near the root
     lo = np.zeros(dirs.shape[0])
-    hi = np.full(dirs.shape[0], 4.0 * np.max(domain.box_halfwidths()))
+    hi = np.full(dirs.shape[0], 4.0 * np.max(box_halfwidths(domain)))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        inside = domain.defining.rho(dirs * mid[:, None]) < 0
+        inside = domain.rho(dirs * mid[:, None]) < 0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     return 0.5 * (lo + hi)
@@ -373,10 +353,9 @@ def project_to_boundary(domain, z):
     the real gradient otherwise.  The result w satisfies |rho(w)| <= 1e-12.
     """
     z = np.asarray(z, dtype=complex)
-    if np.max(np.abs(z)) > 4.0 * np.max(domain.box_halfwidths()):
+    if np.max(np.abs(z)) > 4.0 * np.max(box_halfwidths(domain)):
         raise GeometryError("point outside the bounding box")
-    defin = domain.defining
-    base, _, warps = quadric(defin)
+    base, _, warps = quadric(domain)
     if not warps:
         if np.linalg.norm(z) == 0:
             raise GeometryError("cannot project the origin radially")
@@ -385,15 +364,15 @@ def project_to_boundary(domain, z):
     if np.linalg.norm(w) == 0:
         w = np.full(domain.n, 1e-3 + 0j)
     for _ in range(100):
-        r = float(defin.rho(w))
+        r = float(domain.rho(w))
         if abs(r) <= BOUNDARY_TOL:
             return w
-        dzv = defin.dz(w)
+        dzv = domain.dz(w)
         gsq = 4.0 * float(np.sum(np.abs(dzv) ** 2))
         if gsq == 0:
             raise GeometryError("vanishing gradient during projection")
         w = w - r * 2.0 * np.conj(dzv) / gsq
-    if abs(float(defin.rho(w))) <= BOUNDARY_TOL:
+    if abs(float(domain.rho(w))) <= BOUNDARY_TOL:
         return w
     raise GeometryError("projection did not converge in 100 iterations")
 
@@ -419,7 +398,7 @@ def levi_form_min_eigenvalue(domain, samples=200, seed=7):
     rng = rng_stream(seed, 0x1E71)
     t = 1.0 - LEVI_SHELL * rng.random(samples)
     pts = pts * t[:, None]
-    H = domain.defining.hess_zzbar(pts)
+    H = domain.hess_zzbar(pts)
     eigs = np.linalg.eigvalsh(H)
     out = float(np.min(eigs))
     if out <= 0:
@@ -436,8 +415,8 @@ def levi_polynomial(domain, z, zeta):
     """
     z = np.asarray(z, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
-    d = domain.defining.dz(zeta)
-    A = domain.defining.hess_zz(zeta)
+    d = domain.dz(zeta)
+    A = domain.hess_zz(zeta)
     delta = z - zeta
     lin = 2.0 * np.sum(d * delta, axis=-1)
     quad = np.einsum("...j,...jk,...k->...", delta, A, delta)
@@ -483,14 +462,14 @@ def check_levi_estimate(domain, beta, eta, pairs=None, count=10_000, seed=7):
         delta = to_complex(g) * radius[:, None]
         Z = Zeta + delta
         for _ in range(80):
-            outside = domain.defining.rho(Z) > 0.0
+            outside = domain.rho(Z) > 0.0
             if not outside.any():
                 break
             delta = np.where(outside[:, None], 0.5 * delta, delta)
             Z = Zeta + delta
     q = levi_polynomial(domain, Z, Zeta)
-    rho_z = domain.defining.rho(Z)
-    rho_zeta = domain.defining.rho(Zeta)
+    rho_z = domain.rho(Z)
+    rho_zeta = domain.rho(Zeta)
     dist2 = np.sum(np.abs(Z - Zeta) ** 2, axis=-1)
     margin = q.real - rho_zeta + rho_z - beta * dist2
     bad = margin < _VIOLATION_TOL
@@ -519,9 +498,9 @@ def level_set_sampler(domain, eps, method="parametrized", count=100_000, seed=7,
     # local import: quadrature imports geometry at module level
     from . import quadrature
 
-    if eps <= 0 or eps >= domain.eps_max():
+    if eps <= 0 or eps >= eps_max(domain):
         raise GeometryError(
-            f"eps={eps:g} outside (0, {domain.eps_max():g}) for {domain.describe()}")
+            f"eps={eps:g} outside (0, {eps_max(domain):g}) for {domain.describe()}")
     if method == "parametrized":
         level = level_weights(domain, eps)
         if level is None:

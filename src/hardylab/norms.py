@@ -17,8 +17,7 @@ import numpy as np
 
 from . import functions as fn
 from . import quadrature as quad
-from .geometry import (Domain, GeometryError, base_weights, level_weights,
-                       quadric)
+from .geometry import GeometryError, level_weights, quadric
 
 LN2 = math.log(2.0)
 GRID_FLOOR = 1e-9
@@ -127,7 +126,7 @@ class CapSurface:
 
 @dataclass(frozen=True)
 class LevelSurface:
-    domain: Domain
+    domain: object
     method: str = "parametrized"
     restrict: OpenBall = None
 
@@ -151,8 +150,7 @@ class RealLevelSurface:
 @dataclass(frozen=True)
 class QuadConfig:
     seed: int = 7
-    mc_count: int = 100_000
-    level_count: int = 100_000
+    count: int = 100_000            # nodes of a sphere, cap or parametrized rule
     thin_shell_proposals: int = 4_000_000
     force_mc: bool = False          # disable deterministic fast paths (oracles)
 
@@ -192,8 +190,8 @@ def _zonal_ok(fspec, surface, cfg):
     if zc is None or cfg.force_mc:
         return False
     if isinstance(surface, LevelSurface):
-        bw = base_weights(surface.domain.defining)  # spheres: all weights 1
-        if bw is None or np.any(bw[0] != 1.0):
+        base, _, warps = quadric(surface.domain)  # spheres: all weights 1
+        if warps or np.any(base.weights != 1.0):
             return False
     elif not isinstance(surface, (SphereSurface, CapSurface)):
         return False
@@ -231,12 +229,11 @@ def _zonal_integral(fspec, ps, surface, x):
     c = -1.0 if ball is None else (rho * rho + 1.0 - ball.radius ** 2) / (2.0 * rho)
     n = surface.domain.n if isinstance(surface, LevelSurface) else surface.n
     gt = lambda lam: _powers(np.abs(fn.zonal_eval(fspec, R * lam)), ps)
-    if -1.0 < c < 1.0:
-        region = "complement" if complement else "cap"
-        return quad.integrate_zonal(gt, n, region=region, c=c), factor
-    if (c <= -1.0) == complement:  # the region is empty
-        return quad.IntegralEstimate(0.0, 0.0, 0, "zonal"), factor
-    return quad.integrate_zonal(gt, n), factor
+    if not -1.0 < c < 1.0:  # the ball holds all of the sphere or none of it
+        if (c <= -1.0) == complement:  # the region is empty
+            return quad.IntegralEstimate(0.0, 0.0, 0, "zonal"), factor
+        c, complement = -1.0, False  # the whole sphere: one cached rule
+    return quad.integrate_zonal(gt, n, c, complement), factor
 
 
 def _sphere_mc(fspec, ps, surface, r, cfg, seed):
@@ -250,17 +247,17 @@ def _sphere_mc(fspec, ps, surface, r, cfg, seed):
     if ball is None:
         if centers:
             return quad.integrate_sphere_importance(g, surface.n, centers, depth,
-                                                    cfg.mc_count, seed)
-        return quad.integrate_sphere(g, surface.n, cfg.mc_count, seed)
+                                                    cfg.count, seed)
+        return quad.integrate_sphere(g, surface.n, cfg.count, seed)
     in_region = [c for c in centers
                  if (np.linalg.norm(np.asarray(c) - np.asarray(ball.center))
                      < ball.radius) != complement]
     if in_region:
         return quad.integrate_sphere_importance(
             quad.inside_only(g, ball.center, ball.radius, complement), surface.n,
-            in_region, depth, cfg.mc_count, seed)
+            in_region, depth, cfg.count, seed)
     return quad.integrate_cap(g, ball.center, ball.radius, surface.n,
-                              cfg.mc_count, seed, complement=complement)
+                              cfg.count, seed, complement=complement)
 
 
 def _level_mc(fspec, ps, surface, eps, cfg, seed):
@@ -269,7 +266,7 @@ def _level_mc(fspec, ps, surface, eps, cfg, seed):
     U, _ = _region(surface)
     centers = [np.asarray(c, dtype=complex) for c in fn.singular_points(fspec)]
     count = (cfg.thin_shell_proposals if surface.method == "thin-shell"
-             else cfg.level_count)
+             else cfg.count)
     return quad.integrate_level_set(
         g, surface.domain, eps, method=surface.method, count=count, seed=seed,
         within=(U.center, U.radius) if U is not None else None,
@@ -565,13 +562,11 @@ def local_scan_ball(fspec, p, center, radius, grid=None, cfg=None, complement=Fa
     return scan(fspec, p, grid, surface, cfg)
 
 
-def level_scan_domain(fspec, p, domain, grid=None, cfg=None, restrict=None,
-                      method=None):
+def level_scan_domain(fspec, p, domain, grid=None, cfg=None, restrict=None):
     """Scan of level-set integrals of |f|^p over {rho = -eps}, optionally
-    restricted to an open set U.  The default rule is the parametrized one
-    where ``level_weights`` scales the level to a quadric, else the thin shell."""
-    if method is None:
-        method = "thin-shell" if quadric(domain.defining)[2] else "parametrized"
+    restricted to an open set U.  The rule is the parametrized one where
+    ``level_weights`` scales the level to a quadric, else the thin shell."""
+    method = "thin-shell" if quadric(domain)[2] else "parametrized"
     surface = LevelSurface(domain, method=method, restrict=restrict)
     return scan(fspec, p, grid or LEVEL_GRID, surface, cfg)
 

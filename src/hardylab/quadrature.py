@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (grad_norm, quadric, rng_stream, to_complex, to_real,
-                       warp_multiplier)
+from .geometry import (box_halfwidths, grad_norm, quadric, rng_stream,
+                       to_complex, to_real, warp_multiplier)
 
 OVERFLOW_LIMIT = 1e300
 MIN_COUNT = 100  # fewest nodes a sphere Monte Carlo rule, or --count, takes
@@ -284,10 +284,11 @@ def _geometric_edges(lo, hi, jmax):
     return np.concatenate([[lo], np.sort(pts), [hi]])
 
 
-def _radial_interval(theta, c, mode):
-    """Radial s-range of {s cos(theta) > c} (cap) or its complement within [0, 1]."""
+def _radial_interval(theta, c, complement):
+    """Radial s-range of {s cos(theta) > c} (a cap) or of its complement
+    within [0, 1]."""
     ct = math.cos(theta)
-    if mode == "cap":
+    if not complement:
         if ct > 1e-15:
             lo = max(0.0, c / ct)
             return (lo, 1.0) if lo < 1.0 else None
@@ -299,12 +300,12 @@ def _radial_interval(theta, c, mode):
     return (0.0, 1.0) if c >= 0.0 else None
 
 
-def _theta_nodes(c=None):
+def _theta_nodes(c):
     """Angular nodes on panels with edges pi 2^-j, plus an edge at acos(c)
     when the pairing threshold c cuts the disk."""
     edges = [0.0] + [np.pi * 2.0 ** (-j)
                      for j in range(ZONAL_ANGULAR_PANELS, -1, -1)]
-    if c is not None and -1.0 < c < 1.0:
+    if -1.0 < c < 1.0:
         edges = sorted(set(edges) | {math.acos(c)})
     return _nodes_on_panels(np.asarray(edges), ZONAL_ANGULAR_NODES)
 
@@ -316,20 +317,18 @@ def _radial_nodes(lo, hi):
 
 
 @lru_cache(maxsize=64)
-def _zonal_nodes(n, mode="full", c=None):
-    """Flattened (lam, weight) arrays; weights calibrated against sigma(S^{2n-1})."""
+def _zonal_nodes(n, c, complement):
+    """Flattened (lam, weight) arrays of the disk region {Re lam > c}, or of
+    its complement; weights calibrated against sigma(S^{2n-1})."""
     if n < 2:
         raise QuadratureError("zonal path requires n >= 2")
-    theta, wtheta = _theta_nodes(None if mode == "full" else c)
+    theta, wtheta = _theta_nodes(c)
 
     lam_parts, w_parts = [], []
     for th, wt in zip(theta, wtheta):
-        if mode == "full":
-            interval = (0.0, 1.0)
-        else:
-            interval = _radial_interval(th, c, mode)
-            if interval is None:
-                continue
+        interval = _radial_interval(th, c, complement)
+        if interval is None:
+            continue
         s, ws = _radial_nodes(*interval)
         w = wt * ws * s * (1.0 - s ** 2) ** (n - 2)
         lam_parts.append(s * np.exp(1j * th))
@@ -348,7 +347,7 @@ def _zonal_nodes(n, mode="full", c=None):
 @lru_cache(maxsize=16)
 def _zonal_calibration(n):
     """sigma(S^{2n-1}) divided by the full-grid estimate of the disk weight mass."""
-    theta, wtheta = _theta_nodes()
+    theta, wtheta = _theta_nodes(-1.0)
     s, ws = _radial_nodes(0.0, 1.0)
     mass = 2.0 * np.sum(wtheta) * np.sum(ws * s * (1.0 - s ** 2) ** (n - 2))
     analytic = np.pi / (n - 1)
@@ -358,14 +357,15 @@ def _zonal_calibration(n):
     return sphere_area(n) / mass
 
 
-def integrate_zonal(gt, n, region="full", c=None):
+def integrate_zonal(gt, n, c=-1.0, complement=False):
     """Deterministic quadrature of z -> gt(<z, zeta>) over the unit sphere of C^n.
 
     ``gt`` must be vectorized over a complex array of pairings with |lam| <= 1.
-    region "cap"/"complement" restricts to {Re lam > c} and its complement,
-    which are the zonal images of a metric cap around zeta and its complement.
+    The integral runs over {Re lam > c}, or its complement with
+    ``complement``: the zonal images of a metric cap around zeta and of its
+    complement.  The default c = -1 is the whole sphere.
     """
-    lam, w = _zonal_nodes(n, region, None if region == "full" else float(c))
+    lam, w = _zonal_nodes(n, float(c), complement)
     return reduce_nodes(w, gt(lam), "zonal")
 
 
@@ -580,11 +580,6 @@ def _band_draws(a, band, count, rng):
     return _symmetric_betaincinv(a, v)
 
 
-def _sample_band(a, u1, u2, count, rng):
-    """Exact uniform-on-sphere cosines within the band (u1, u2)."""
-    return _band_draws(a, _band_cdf(a, u1, u2), count, rng)
-
-
 MAX_RINGS = 26  # ring strata (chordal radii 2^{1-m}) around a sphere point
 
 
@@ -737,7 +732,7 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     concentrated there get sampled at every scale.
     """
     h = eps / SHELL_EPS_DIVISOR
-    b = domain.box_halfwidths()
+    b = box_halfwidths(domain)
     lo = -np.repeat(b, 2)
     hi = np.repeat(b, 2)
     if within is not None:
@@ -762,7 +757,7 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     spans = his - los
     vols = np.prod(spans, axis=1)
     K = len(vols)
-    base, scale, warps = quadric(domain.defining)
+    base, scale, warps = quadric(domain)
     a = base.weights
     d = 2 * domain.n
     proposals = int(proposals)
@@ -788,7 +783,7 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
         # the exact rho only decides among the proposals the screen keeps
         X = X[shell_screen(X, a, scale, warps, eps, h)]
         Z = to_complex(X)
-        mask = np.abs(domain.defining.rho(Z) + eps) < h
+        mask = np.abs(domain.rho(Z) + eps) < h
         if not mask.any():
             return None
         Xa = X[mask]
@@ -797,7 +792,7 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
         for k in range(K):
             inside = np.all((Xa >= los[k]) & (Xa <= his[k]), axis=1)
             dens += inside / (K * vols[k])
-        return Za, grad_norm(domain.defining, Za) / (2.0 * h * proposals * dens)
+        return Za, grad_norm(domain, Za) / (2.0 * h * proposals * dens)
 
     rng = rng_stream(seed, 0x7541)
     jobs, pending = [], {}

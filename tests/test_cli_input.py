@@ -147,7 +147,7 @@ def test_warped_lemma_3_1_still_reads_count(monkeypatch):
     seen = {}
 
     def recorder(cfg, lam_kind):
-        seen.update(count=cfg.level_count, lam=lam_kind)
+        seen.update(count=cfg.count, lam=lam_kind)
         return cli.ex.LemmaReport("3.1", [], {})
 
     monkeypatch.setattr(cli.ex, "verify_lemma_3_1", recorder)

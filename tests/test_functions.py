@@ -111,7 +111,7 @@ class TestLeviFunctions:
     def test_levi_power_modulus_law(self):
         z = interior_points(2_000, seed=9) * 0.55
         # keep strictly inside the ellipsoid
-        keep = ELL.defining.rho(z) < -0.05
+        keep = ELL.rho(z) < -0.05
         z = z[keep]
         h = np.abs(fn.evaluate(fn.LeviPower(ELL, E1, 1.5), z))
         q = np.abs(geo.levi_polynomial(ELL, z, np.array(E1)))

@@ -42,11 +42,11 @@ def test_parse_roundtrip(domain, expected):
 
 def test_defining_values():
     z = np.array([0.5 + 0j, 0.5j])
-    assert BALL.defining.rho(z) == pytest.approx(-0.5)
-    assert ELL.defining.rho(z) == pytest.approx(0.25 + 2 * 0.25 - 1)
+    assert BALL.rho(z) == pytest.approx(-0.5)
+    assert ELL.rho(z) == pytest.approx(0.25 + 2 * 0.25 - 1)
     resc = geo.parse_domain("rescaled:base=ball:n=2;c=2")
-    assert resc.defining.rho(z) == pytest.approx(-1.0)
-    assert WARP.defining.rho(z) == pytest.approx(np.exp(0.5) * (0.75 - 1))
+    assert resc.rho(z) == pytest.approx(-1.0)
+    assert WARP.rho(z) == pytest.approx(np.exp(0.5) * (0.75 - 1))
 
 
 @pytest.mark.parametrize("domain", [BALL, ELL, WARP])
@@ -54,15 +54,15 @@ def test_hessian_hermitian_and_gradient_nonvanishing(domain):
     pts = geo.boundary_dense_sequence(domain, 200, seed=3)
     rng = np.random.Generator(np.random.Philox(key=[5, 5]))
     pts = pts * (1 - 0.05 * rng.random(200))[:, None]
-    H = domain.defining.hess_zzbar(pts)
+    H = domain.hess_zzbar(pts)
     assert np.max(np.abs(H - np.conj(np.swapaxes(H, -1, -2)))) < 1e-12
-    S = domain.defining.hess_zz(pts)
+    S = domain.hess_zz(pts)
     assert np.max(np.abs(S - np.swapaxes(S, -1, -2))) < 1e-12
-    assert np.min(geo.grad_norm(domain.defining, pts)) > 0.1
+    assert np.min(geo.grad_norm(domain, pts)) > 0.1
 
 
 def test_warped_derivatives_match_finite_differences():
-    d = WARP.defining
+    d = WARP
     z = np.array([0.31 + 0.11j, 0.22 - 0.4j])
     h = 1e-6
     for j in range(2):
@@ -80,7 +80,7 @@ def test_warped_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize("domain,eig,beta", [
     (BALL, 1.0, 1 / 3), (ELL, 1.0, 1 / 3),
-    (geo.Domain(geo.Ellipsoid((3.0, 5.0))), 3.0, 1.0),
+    (geo.Ellipsoid((3.0, 5.0)), 3.0, 1.0),
 ])
 def test_levi_form_min_eigenvalue(domain, eig, beta):
     val = geo.levi_form_min_eigenvalue(domain, samples=100, seed=7)
@@ -171,7 +171,7 @@ class TestLevelSetSampler:
             assert est.value == pytest.approx(exact, rel=1e-12)
 
     def test_unit_weights_match_ball(self):
-        ell1 = geo.Domain(geo.Ellipsoid((1.0, 1.0)))
+        ell1 = geo.Ellipsoid((1.0, 1.0))
         s1 = geo.level_set_sampler(ell1, 0.1, "parametrized", 20_000, seed=7)
         s2 = geo.level_set_sampler(BALL, 0.1, "parametrized", 20_000, seed=7)
         e1 = s1.integrate(lambda Z: np.linalg.norm(Z, axis=1))
@@ -220,7 +220,7 @@ class TestBoundarySequence:
     def test_points_on_boundary(self):
         for domain in (BALL, ELL, WARP):
             w = geo.boundary_dense_sequence(domain, 500, seed=7)
-            assert np.max(np.abs(domain.defining.rho(w))) < 1e-12
+            assert np.max(np.abs(domain.rho(w))) < 1e-12
 
     def test_single_point_is_unit(self):
         w = geo.boundary_dense_sequence(BALL, 1, seed=7)
@@ -255,4 +255,4 @@ class TestProjectToBoundary:
 
     def test_newton_path_for_warped(self):
         w = geo.project_to_boundary(WARP, np.array([0.4 + 0.2j, 0.3 - 0.1j]))
-        assert abs(WARP.defining.rho(w)) <= 1e-12
+        assert abs(WARP.rho(w)) <= 1e-12

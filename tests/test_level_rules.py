@@ -11,15 +11,16 @@ from hardylab import experiments as ex
 from hardylab import geometry as geo
 from hardylab import norms
 from hardylab import quadrature as quad
-from hardylab.geometry import (Domain, Ellipsoid, Rescaled, UnitBall, Warped,
-                               grad_norm, quadric, rng_stream, to_complex, to_real)
+from hardylab.geometry import (Ellipsoid, Rescaled, UnitBall, Warped,
+                               box_halfwidths, grad_norm, quadric, rng_stream,
+                               to_complex, to_real)
 
 ELL = geo.parse_domain("ellipsoid:a=1,2")
 WARP = geo.parse_domain("warped:base=ellipsoid:a=1,2;u=x1")
-RESCALED_WARP = Domain(Rescaled(Warped(Ellipsoid((1, 2))), 2.0))
-WARPED_RESCALED = Domain(Warped(Rescaled(UnitBall(2), 0.5)))
-WARP_TWICE = Domain(Warped(Warped(Ellipsoid((1, 2)))))
-BALL = Domain(UnitBall(2))
+RESCALED_WARP = Rescaled(Warped(Ellipsoid((1, 2))), 2.0)
+WARPED_RESCALED = Warped(Rescaled(UnitBall(2), 0.5))
+WARP_TWICE = Warped(Warped(Ellipsoid((1, 2))))
+BALL = UnitBall(2)
 E1 = np.array([1.0 + 0j, 0j])
 # the deepest level of the warped containment scan of lemma 3.1
 DEEP_EPS = 0.2 * 2.0 ** -8
@@ -31,7 +32,7 @@ def _thin_shell_reference(domain, eps, proposals, seed, h=None, within=None,
     """The thin-shell rejection loop as one draw per 2M-row batch: the
     reference the chunked sampler must reproduce bit for bit."""
     h = h if h is not None else eps / 10.0
-    b = domain.box_halfwidths()
+    b = box_halfwidths(domain)
     lo = -np.repeat(b, 2)
     hi = np.repeat(b, 2)
     if within is not None:
@@ -62,7 +63,7 @@ def _thin_shell_reference(domain, eps, proposals, seed, h=None, within=None,
         U = rng.random((nb, 2 * domain.n))
         X = los[comp] + U * (his[comp] - los[comp])
         Z = to_complex(X)
-        r = domain.defining.rho(Z)
+        r = domain.rho(Z)
         mask = np.abs(r + eps) < h
         if mask.any():
             Xa = X[mask]
@@ -72,7 +73,7 @@ def _thin_shell_reference(domain, eps, proposals, seed, h=None, within=None,
                 inside = np.all((Xa >= los[k]) & (Xa <= his[k]), axis=1)
                 dens += inside / (K * vols[k])
             accepted.append(Za)
-            weights.append(grad_norm(domain.defining, Za)
+            weights.append(grad_norm(domain, Za)
                            / (2.0 * h * proposals * dens))
         remaining -= nb
     return np.concatenate(accepted), np.concatenate(weights)
@@ -156,11 +157,11 @@ def _shell_boundary_points(domain, eps, h, count, seed):
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((count, 2 * domain.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rho = lambda t: domain.defining.rho(to_complex(dirs * t[:, None]))
+    rho = lambda t: domain.rho(to_complex(dirs * t[:, None]))
     out = []
     for target in (-eps - h, -eps + h):
         lo = np.zeros(count)  # rho(0) = -c < target
-        hi = np.full(count, 4.0 * np.max(domain.box_halfwidths()))
+        hi = np.full(count, 4.0 * np.max(box_halfwidths(domain)))
         for _ in range(120):
             mid = 0.5 * (lo + hi)
             below = rho(mid) < target
@@ -177,12 +178,12 @@ def _shell_boundary_points(domain, eps, h, count, seed):
 @pytest.mark.parametrize("eps", [DEEP_EPS, 1e-9], ids=["deep", "floor"])
 def test_shell_screen_keeps_every_proposal_the_exact_test_accepts(domain, eps):
     h = eps / quad.SHELL_EPS_DIVISOR
-    b = np.repeat(domain.box_halfwidths(), 2)
+    b = np.repeat(box_halfwidths(domain), 2)
     raw = -b + 2.0 * b * rng_stream(5, 0x5C).random((1_000_000, b.size))
     X = np.concatenate([raw, _shell_boundary_points(domain, eps, h, 20_000, 3)])
-    base, c, warps = quadric(domain.defining)
+    base, c, warps = quadric(domain)
     screen = quad.shell_screen(X, base.weights, c, warps, eps, h)
-    exact = np.abs(domain.defining.rho(to_complex(X)) + eps) < h
+    exact = np.abs(domain.rho(to_complex(X)) + eps) < h
     assert exact[raw.shape[0]:].sum() > 10_000  # the boundary points test the edge
     assert np.all(screen[exact])
     # and the screen is a screen: it drops nearly all the raw misses
@@ -227,7 +228,7 @@ def test_cached_strata_arrays_are_read_only():
 
 def test_lemma_4_2_builds_each_grid_rule_once():
     grid = norms.LEVEL_GRID
-    cfg = norms.QuadConfig(level_count=2_000)
+    cfg = norms.QuadConfig(count=2_000)
     strata_cache.cache_clear()
     report = ex.verify_lemma_4_2(cfg=cfg, grid=grid)
     assert "critical_exponent_bracket" in report.extras

@@ -222,7 +222,7 @@ class TestScansAndLocal:
 
 class TestMcGuard:
     GUARD = "failed: mc variance guard (stderr/value > 0.02 near boundary)"
-    CFG = norms.QuadConfig(seed=7, mc_count=100, force_mc=True)
+    CFG = norms.QuadConfig(seed=7, count=100, force_mc=True)
     POLY = fn.parse_function("poly:z2^2+z1+3")
 
     def test_noisy_point_near_the_boundary_is_flagged(self):

@@ -88,15 +88,29 @@ class TestZonal:
         gt = lambda lam: np.abs(1 - r * lam) ** -p
         c = 1 - 0.5 ** 2 / 2
         full = quad.integrate_zonal(gt, 2).value
-        capv = quad.integrate_zonal(gt, 2, region="cap", c=c).value
-        comp = quad.integrate_zonal(gt, 2, region="complement", c=c).value
+        capv = quad.integrate_zonal(gt, 2, c).value
+        comp = quad.integrate_zonal(gt, 2, c, complement=True).value
         assert capv + comp == pytest.approx(full, rel=1e-10)
 
     def test_cap_covers_sphere_at_radius_two(self):
         gt = lambda lam: np.abs(1 - 0.5 * lam) ** -1.0
         full = quad.integrate_zonal(gt, 2).value
-        capv = quad.integrate_zonal(gt, 2, region="cap", c=1 - 2.0 ** 2 / 2).value
+        capv = quad.integrate_zonal(gt, 2, 1 - 2.0 ** 2 / 2).value
         assert capv == pytest.approx(full, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_whole_sphere_cuts_are_the_tensor_rule(self, n):
+        # every theta node with the radial nodes on [0, 1], mirrored to -theta
+        theta, wtheta = quad._theta_nodes(-1.0)
+        s, ws = quad._radial_nodes(0.0, 1.0)
+        lam = (s[None, :] * np.exp(1j * theta)[:, None]).ravel()
+        w = (wtheta[:, None] * ws * s * (1.0 - s ** 2) ** (n - 2)).ravel()
+        lam = np.concatenate([lam, np.conj(lam)])
+        w = np.concatenate([w, w]) * quad._zonal_calibration(n)
+        assert lam.size == 215_168
+        for c, complement in ((-1.0, False), (1.0, True)):
+            got_lam, got_w = quad._zonal_nodes(n, c, complement)
+            assert np.array_equal(got_lam, lam) and np.array_equal(got_w, w)
 
 
 class TestCapMonteCarlo:
@@ -203,12 +217,13 @@ class TestBandInverse:
         assert u[1] >= 0.5 > u[0]  # band 0 takes the head branch, the rest the tail
         for i in range(len(u) - 1):
             for rng in (_EdgeDraws(), geo.rng_stream(3, i)):
-                x = quad._sample_band(a, u[i], u[i + 1], 10_000, rng)
+                x = quad._band_draws(a, quad._band_cdf(a, u[i], u[i + 1]), 10_000, rng)
                 assert np.all((x >= u[i]) & (x <= u[i + 1])), i
 
     def test_integer_parameter_is_refused(self):
         with pytest.raises(quad.QuadratureError):
-            quad._sample_band(2.0, 0.2, 0.4, 100, geo.rng_stream(3, 0))
+            quad._band_draws(2.0, quad._band_cdf(2.0, 0.2, 0.4), 100,
+                            geo.rng_stream(3, 0))
 
 
 class TestStratifiedLevel:
@@ -252,7 +267,7 @@ class TestThinShell:
 
     def test_h_default_tenth_of_eps(self):
         s = geo.level_set_sampler(ELL, 0.1, "thin-shell", 200_000, seed=9)
-        r = ELL.defining.rho(s.points)
+        r = ELL.rho(s.points)
         assert np.all(np.abs(r + 0.1) < 0.01 + 1e-12)
 
     def test_methods_agree_on_singular_integrand(self):

@@ -43,7 +43,7 @@ def test_every_path_flags_overflow(path, fill):
 
 
 DET = norms.QuadConfig(seed=7)
-MC = norms.QuadConfig(seed=7, mc_count=2000, level_count=2000,
+MC = norms.QuadConfig(seed=7, count=2000,
                       thin_shell_proposals=200_000, force_mc=True)
 H3 = fn.HarmonicKernel((1.0, 0.0, 0.0), 3)
 LEVI = fn.LeviReciprocal(ELL, E1)
@@ -142,7 +142,7 @@ LADDER = [float(p) for p in norms.IntersectionMetricSpec(q=1.5, J=20).p_list()]
 
 def test_scans_truncate_each_exponent_at_its_own_guard():
     diff = density_demo_difference()
-    cfg = norms.QuadConfig(seed=7, mc_count=10_000)
+    cfg = norms.QuadConfig(seed=7, count=10_000)
     surface = norms.SphereSurface(2)
     ladder = norms.scans(diff, LADDER, norms.RADIAL_MC, surface, cfg)
     stops = {sc.flags.index("truncated") if "truncated" in sc.flags else None
@@ -189,7 +189,7 @@ def test_intersection_metric_builds_one_rule_per_grid_point(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(quad, "integrate_sphere_importance", counted)
-    cfg = norms.QuadConfig(seed=7, mc_count=10_000)
+    cfg = norms.QuadConfig(seed=7, count=10_000)
     res = norms.intersection_metric(density_demo_difference(), fn.Const(0.0),
                                     norms.IntersectionMetricSpec(q=1.5, J=20),
                                     cfg=cfg)

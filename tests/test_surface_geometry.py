@@ -16,40 +16,37 @@ E1 = (1.0 + 0j, 0j)
 ELL = geo.Ellipsoid((1.0, 2.0))
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# domain: (quadric, base_weights, level_weights at eps = 0.1, box half-widths,
-# eps_max)
+# domain: (quadric, level_weights at eps = 0.1, box half-widths, eps_max)
 DOMAINS = {
     "ball": (geo.parse_domain("ball:n=2"),
-             (geo.UnitBall(2), 1.0, 0), ([1.0, 1.0], 1.0), ([1.0, 1.0], 0.1),
+             (geo.UnitBall(2), 1.0, 0), ([1.0, 1.0], 0.1),
              [1.0, 1.0], 0.9),
     "ellipsoid": (geo.parse_domain("ellipsoid:a=1,2"),
-                  (ELL, 1.0, 0), ([1.0, 2.0], 1.0), ([1.0, 2.0], 0.1),
+                  (ELL, 1.0, 0), ([1.0, 2.0], 0.1),
                   [1.0, SQRT_HALF], 0.9),
     "rescaled": (geo.parse_domain("rescaled:base=ellipsoid:a=1,2;c=2"),
-                 (ELL, 2.0, 0), ([1.0, 2.0], 2.0), ([1.0, 2.0], 0.05),
+                 (ELL, 2.0, 0), ([1.0, 2.0], 0.05),
                  [1.0, SQRT_HALF], 1.8),
     "warped": (geo.parse_domain("warped:base=ball:n=2;u=x1"),
-               (geo.UnitBall(2), 1.0, 1), None, None,
+               (geo.UnitBall(2), 1.0, 1), None,
                [1.0, 1.0], 0.9 * (1.0 * np.exp(-1.0))),
-    "rescaled-warped": (geo.Domain(geo.Rescaled(geo.Warped(ELL), 2.0)),
-                        (ELL, 2.0, 1), None, None,
+    "rescaled-warped": (geo.Rescaled(geo.Warped(ELL), 2.0),
+                        (ELL, 2.0, 1), None,
                         [1.0, SQRT_HALF], 0.9 * (2.0 * np.exp(-1.0))),
 }
 
 
 @pytest.mark.parametrize("name", list(DOMAINS))
 def test_quadric_and_the_readers_of_it(name):
-    domain, quadric, weights, level, box, eps_max = DOMAINS[name]
-    assert geo.quadric(domain.defining) == quadric
-    bw = geo.base_weights(domain.defining)
+    domain, quadric, level, box, eps_max = DOMAINS[name]
+    assert geo.quadric(domain) == quadric
     lw = geo.level_weights(domain, 0.1)
-    if weights is None:
-        assert bw is None and lw is None
+    if level is None:
+        assert lw is None
     else:
-        assert np.array_equal(bw[0], weights[0]) and bw[1] == weights[1]
         assert np.array_equal(lw[0], level[0]) and lw[1] == level[1]
-    assert np.allclose(domain.box_halfwidths(), box, rtol=1e-15, atol=0)
-    assert domain.eps_max() == eps_max
+    assert np.allclose(geo.box_halfwidths(domain), box, rtol=1e-15, atol=0)
+    assert geo.eps_max(domain) == eps_max
 
 
 @pytest.mark.parametrize("text, c", [("ball:n=2", 1.0),
@@ -82,7 +79,7 @@ def test_zonal_level_set_empty_is_a_geometry_error():
 # The region is applied before |f| is evaluated
 # ---------------------------------------------------------------------------
 
-MC = norms.QuadConfig(seed=7, mc_count=2000, level_count=2000,
+MC = norms.QuadConfig(seed=7, count=2000,
                       thin_shell_proposals=200_000, force_mc=True)
 LEVI = fn.LeviReciprocal(geo.parse_domain("ellipsoid:a=1,2"), E1)
 U04 = norms.OpenBall(E1, 0.4)
