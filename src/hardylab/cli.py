@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -83,6 +84,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def exponent(name, floor, inf_ok=False):
+    """argparse type of an exponent flag: a number above ``floor``, finite
+    unless ``inf_ok``; anything else is a usage error."""
+    def parse(text):
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (x > floor and (inf_ok or math.isfinite(x))):
+            bound = f"> {floor:g}" + (" or inf" if inf_ok else ", finite")
+            raise argparse.ArgumentTypeError(f"{text!r}: {name} must be {bound}")
+        return x
+    return parse
+
+
 def fmt(x):
     """17 significant digits for every float, or the overflow literal."""
     if isinstance(x, float):
@@ -152,12 +168,12 @@ def build_parser():
     p = sub.add_parser("norm", help="Hardy seminorm of a function")
     common(p)
     p.add_argument("--f", required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=exponent("p", 0), required=True)
 
     p = sub.add_parser("scan", help="boundary-approach scan plus verdict")
     common(p, plot_data=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=exponent("p", 0), required=True)
     p.add_argument("--domain", default="ball:n=2")
     p.add_argument("--surface", choices=["sphere", "level"], default="sphere")
     p.add_argument("--kmin", type=int, default=None)
@@ -166,7 +182,7 @@ def build_parser():
     p = sub.add_parser("local", help="cap-restricted scan on the ball")
     common(p, plot_data=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=exponent("p", 0), required=True)
     p.add_argument("--center", required=True, help="cap center, e.g. 1,0")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--complement", action="store_true")
@@ -184,7 +200,8 @@ def build_parser():
     p.add_argument("--id", required=True,
                    choices=["2.2", "2.5", "3.1", "4.2", "4.3", "5.1"])
     p.add_argument("--n", type=int, default=None, help="lemmas 2.2, 2.5, 5.1")
-    p.add_argument("--q", type=float, default=None, help="lemmas 2.2, 4.3")
+    p.add_argument("--q", type=exponent("q", 1), default=None,
+                   help="lemmas 2.2, 4.3")
     p.add_argument("--domain", default=None, help="lemmas 4.2, 4.3")
     p.add_argument("--lam", default=None, choices=["identity", "rescaled", "warped"],
                    help="lemma 3.1")
@@ -197,7 +214,7 @@ def build_parser():
 
     p = sub.add_parser("density-demo", help="metric-small, witness-large demo")
     common(p)
-    p.add_argument("--q", type=float, default=1.5)
+    p.add_argument("--q", type=exponent("q", 1), default=1.5)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--j", type=int, default=4)
     p.add_argument("--base", default="poly:z1^2+3")
@@ -206,7 +223,7 @@ def build_parser():
     common(p)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--q", type=float, default=1.5)
+    p.add_argument("--q", type=exponent("q", 1, inf_ok=True), default=1.5)
     p.add_argument("--terms", type=int, default=20)
 
     p = sub.add_parser("reproduce", help="full acceptance suite, one CSV each")
@@ -459,6 +476,9 @@ def _dispatch(args, file_cfg):
 LEMMAS = {"2.2": ("verify_lemma_2_2", ("n", "q")), "2.5": ("verify_local_bound", ("n",)),
           "3.1": ("verify_lemma_3_1", ("lam",)), "4.2": ("verify_lemma_4_2", ("domain",)),
           "4.3": ("verify_lemma_4_3", ("domain", "q")), "5.1": ("verify_lemma_5_1", ("n",))}
+# lemma id -> its least --n: C^n, n >= 2, for the ball kernels; R^n, n >= 3,
+# for the harmonic kernel
+MIN_N = {"2.2": 2, "2.5": 2, "5.1": 3}
 
 
 def _run_lemma(args, cfg):
@@ -470,8 +490,8 @@ def _run_lemma(args, cfg):
     unread = [f"--{k}" for k in given if k not in reads]
     if unread:
         raise UsageError(f"lemma {args.id} does not read {', '.join(unread)}")
-    if args.id == "5.1" and given.get("n", 3) < 3:
-        raise UsageError("lemma 5.1 needs --n >= 3")
+    if "n" in given and given["n"] < MIN_N[args.id]:
+        raise UsageError(f"lemma {args.id} needs --n >= {MIN_N[args.id]}")
     if "domain" in given:
         given["domain"] = parse_domain(given["domain"])
         if quadric(given["domain"])[2]:

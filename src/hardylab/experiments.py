@@ -65,6 +65,11 @@ class LemmaReport:
 MIN_SUP_POINTS = 3
 
 
+def _e1(n):
+    """The first unit vector of C^n, the pole of the ball lemmas' kernels."""
+    return (1.0 + 0j,) + (0j,) * (n - 1)
+
+
 def _case(label, p, expected, membership, expected_class=""):
     ok = membership.status == expected
     if expected_class:
@@ -80,7 +85,7 @@ def _case(label, p, expected, membership, expected_class=""):
 
 def verify_lemma_2_2(n=2, q=1.5, cfg=None):
     """Membership thresholds of the Cauchy kernel, its log, and its powers at
-    zeta = (1, 0).
+    zeta = e_1 in C^n.
 
     Expected: f_zeta in H^p exactly for p < n (log-divergent at p = n,
     power-divergent beyond), log f_zeta in every H^p, and the power variant
@@ -89,7 +94,7 @@ def verify_lemma_2_2(n=2, q=1.5, cfg=None):
     cfg = cfg or norms.QuadConfig()
     grid = norms.ApproachGrid("radial", 4, 20)
     t0 = time.time()
-    zeta = (1.0 + 0j, 0j)
+    zeta = _e1(n)
     sphere = norms.SphereSurface(n)
     families = (
         ("cauchy kernel", fn.Cauchy(zeta),
@@ -148,7 +153,7 @@ class LocalBoundReport:
 def verify_local_bound(n=2, eps_cap=0.5, cfg=None):
     """Lemma about the cap complement: the complement integral of |f_zeta|^n
     stays below sigma(S)/alpha^n for every radius while the cap integral
-    diverges, for zeta = (1, 0) and the cap G = S cap B(zeta, eps_cap).
+    diverges, for zeta = e_1 in C^n and the cap G = S cap B(zeta, eps_cap).
 
     alpha = inf of 1 - Re<z, zeta> over (S - G) cap {Re<z, zeta> >= 0}.  On S,
     1 - Re<z, zeta> = |z - zeta|^2 / 2, which is at least eps_cap^2 / 2 off
@@ -157,7 +162,7 @@ def verify_local_bound(n=2, eps_cap=0.5, cfg=None):
     cfg = cfg or norms.QuadConfig()
     grid = norms.ApproachGrid("radial", 4, 20)
     t0 = time.time()
-    zeta = (1.0 + 0j, 0j)
+    zeta = _e1(n)
     f = fn.Cauchy(zeta)
     if eps_cap >= math.sqrt(2.0):
         # the cap covers the closed half {z . zeta >= 0}: the constraint set is

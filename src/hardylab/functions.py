@@ -6,7 +6,8 @@ Every spec is a small frozen dataclass; ``evaluate`` is vectorized over
 batches of points and raises on inputs outside the declared domain of the
 function.  Specs whose values depend on the input only through one Hermitian
 pairing expose a zonal form (``zonal_center`` / ``zonal_eval``) that the
-quadrature layer exploits.
+quadrature layer exploits; ``zonal_abs`` gives the modulus the norms
+integrate, for the power and log kernels in real arithmetic.
 """
 
 from __future__ import annotations
@@ -275,8 +276,39 @@ def zonal_center(spec):
     return None
 
 
+def _cauchy_polar(w, with_arg=True, scratch=None):
+    """(h2, t) = (|1 - w|^2, arg 1/(1 - w)) from a = 1 - Re w and b = -Im w:
+    h2 = a^2 + b^2 and t = -atan2(b, a) = atan2(Im w, a), so the Cauchy
+    kernel is h2^(-1/2) e^{it}.  Real arrays only, no complex temporary;
+    t is None unless asked for, and b^2 goes to ``scratch`` when given."""
+    h2 = np.subtract(1.0, w.real, out=np.empty(w.shape))
+    t = np.arctan2(w.imag, h2) if with_arg else None
+    h2 *= h2
+    h2 += np.square(w.imag, out=scratch)
+    return h2, t
+
+
+def _power_atom(spec):
+    """(kappa, s) with f(w) = (kappa (1 - w))^-s for the zonal power atoms,
+    else None."""
+    if isinstance(spec, PowerCauchy):
+        return 1.0, len(spec.zeta) / spec.q
+    if isinstance(spec, LeviPower):
+        return 2.0 * _ball_levi_scale(spec.domain), spec.domain.n / spec.q
+    return None
+
+
+def _power_modulus(h2, kappa, s):
+    """|f| = (kappa h)^-s = (kappa^2 h2)^(-s/2) of a power atom, in h2's place."""
+    h2 *= kappa * kappa
+    return np.power(h2, -0.5 * s, out=h2)
+
+
 def zonal_eval(spec, w):
-    """Evaluate a zonal spec given the pairing w = <z, zeta> of its argument."""
+    """Evaluate a zonal spec given the pairing w = <z, zeta> of its argument.
+
+    With h = |1 - w| and t = arg 1/(1 - w) from ``_cauchy_polar``, the power
+    atoms are (kappa h)^-s e^{ist} and the log is -log h + it."""
     w = np.asarray(w, dtype=complex)
     if isinstance(spec, Const):
         return np.full(w.shape, complex(spec.c))
@@ -287,24 +319,51 @@ def zonal_eval(spec, w):
         return out
     if isinstance(spec, Cauchy):
         return 1.0 / (1.0 - w)
-    if isinstance(spec, LogCauchy):
-        return -np.log(1.0 - w)
-    if isinstance(spec, PowerCauchy):
-        n = len(spec.zeta)
-        return np.exp(-(n / spec.q) * np.log(1.0 - w))
     if isinstance(spec, LeviReciprocal):
         c = _ball_levi_scale(spec.domain)
         return 1.0 / (2.0 * c * (1.0 - w))
-    if isinstance(spec, LeviPower):
-        c = _ball_levi_scale(spec.domain)
-        n = spec.domain.n
-        return np.exp(-(n / spec.q) * np.log(2.0 * c * (1.0 - w)))
+    if isinstance(spec, (PowerCauchy, LeviPower, LogCauchy)):
+        out = np.empty(w.shape, dtype=complex)
+        re, im = out.real, out.imag
+        h2, t = _cauchy_polar(w, scratch=re)
+        if isinstance(spec, LogCauchy):
+            np.log(h2, out=re)
+            re *= -0.5
+            im[...] = t
+            return out
+        kappa, s = _power_atom(spec)
+        m = _power_modulus(h2, kappa, s)
+        t *= s
+        np.cos(t, out=re)
+        re *= m
+        np.sin(t, out=im)
+        im *= m
+        return out
     if isinstance(spec, Sum):
         out = np.zeros(w.shape, dtype=complex)
         for coeff, s in spec.terms:
             out += complex(coeff) * zonal_eval(s, w)
         return out
     raise FunctionError(f"spec {spec!r} is not zonal")
+
+
+def zonal_abs(spec, w):
+    """|zonal_eval(spec, w)|.  The power atoms' (kappa h)^-s and the log's
+    |log h - it| = sqrt((log h)^2 + t^2) are computed in place from
+    ``_cauchy_polar``; every other spec takes the modulus of ``zonal_eval``."""
+    w = np.asarray(w, dtype=complex)
+    atom = _power_atom(spec)
+    if atom is not None:
+        return _power_modulus(_cauchy_polar(w, with_arg=False)[0], *atom)
+    if isinstance(spec, LogCauchy):
+        h2, t = _cauchy_polar(w)
+        np.log(h2, out=h2)
+        h2 *= h2
+        h2 *= 0.25
+        t *= t
+        h2 += t
+        return np.sqrt(h2, out=h2)
+    return np.abs(zonal_eval(spec, w))
 
 
 # ---------------------------------------------------------------------------

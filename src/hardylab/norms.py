@@ -228,7 +228,7 @@ def _zonal_integral(fspec, ps, surface, x):
     ball, complement = _region(surface)
     c = -1.0 if ball is None else (rho * rho + 1.0 - ball.radius ** 2) / (2.0 * rho)
     n = surface.domain.n if isinstance(surface, LevelSurface) else surface.n
-    gt = lambda lam: _powers(np.abs(fn.zonal_eval(fspec, R * lam)), ps)
+    gt = lambda lam: _powers(fn.zonal_abs(fspec, R * lam), ps)
     if not -1.0 < c < 1.0:  # the ball holds all of the sphere or none of it
         if (c <= -1.0) == complement:  # the region is empty
             return quad.IntegralEstimate(0.0, 0.0, 0, "zonal"), factor

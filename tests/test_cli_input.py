@@ -1,6 +1,8 @@
 """Bad input stops the CLI with a message and an exit code, never a
 traceback or a silently ignored flag."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from hardylab import cli
@@ -154,3 +156,57 @@ def test_warped_lemma_3_1_still_reads_count(monkeypatch):
     argv = ["lemma", "--id", "3.1", "--lam", "warped", "--count", "20000"]
     assert cli.run(argv) == cli.EXIT_OK
     assert seen == {"count": 20000, "lam": "warped"}
+
+
+@pytest.mark.parametrize("command", [
+    ["norm", "--f", "cauchy:zeta=1,0"], ["scan", "--f", "cauchy:zeta=1,0"],
+    ["local", "--f", "cauchy:zeta=1,0", "--center", "1,0", "--radius", "0.5"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "-2", "0", "x"])
+def test_exponent_p_outside_its_range_is_a_usage_error(command, p, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.run([*command, f"--p={p}", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--p" in err and "p must be > 0, finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--f", "cauchy:zeta=1,0", "--g", "const:0"],
+    ["density-demo"], ["lemma", "--id", "2.2"], ["lemma", "--id", "4.3"],
+], ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("q", ["1", "0.5", "0", "-2", "nan"])
+def test_exponent_q_of_at_most_one_is_a_usage_error(argv, q, capsys):
+    assert cli.run([*argv, f"--q={q}"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--q" in err and "q must be > 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["density-demo"], ["lemma", "--id", "2.2"]],
+                         ids=lambda argv: argv[0])
+def test_infinite_q_of_a_power_kernel_is_a_usage_error(argv, capsys):
+    assert cli.run([*argv, "--q", "inf"]) == cli.EXIT_USAGE
+    assert "q must be > 1, finite" in capsys.readouterr().err
+
+
+def test_metric_reads_an_infinite_q(monkeypatch):
+    seen = {}
+
+    def recorder(f, g, mspec, cfg):
+        seen["q"] = mspec.q
+        return SimpleNamespace(value=0.0, uncertainty=0.0, terms=[])
+
+    monkeypatch.setattr(cli.norms, "intersection_metric", recorder)
+    argv = ["metric", "--f", "cauchy:zeta=1,0", "--g", "const:0", "--q", "inf"]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert seen == {"q": float("inf")}
+
+
+@pytest.mark.parametrize("lemma,n", [("2.2", "1"), ("2.2", "0"), ("2.5", "1"),
+                                     ("2.5", "0"), ("2.5", "-1")])
+def test_lemma_dimension_below_two_is_a_usage_error(lemma, n, monkeypatch, capsys):
+    name = cli.LEMMAS[lemma][0]
+    monkeypatch.setattr(cli.ex, name, lambda **kw: pytest.fail(f"{name} ran"))
+    assert cli.run(["lemma", "--id", lemma, "--n", n]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"lemma {lemma} needs --n >= 2" in err and "Traceback" not in err

@@ -22,6 +22,20 @@ class TestLemmaReports:
         assert by_label[("cauchy kernel", 2.0)].verdict.klass == "LogDivergent"
         assert by_label[("cauchy kernel", 2.5)].verdict.klass == "PowerDivergent"
 
+    def test_lemma_2_2_passes_at_n3(self):
+        # the pole is e_1 in C^3, so the power kernel's exponent is 3/q
+        rep = ex.verify_lemma_2_2(n=3, cfg=CFG)
+        assert rep.passed
+        by_label = {(c.label, c.p): c for c in rep.cases}
+        assert by_label[("cauchy kernel", 3.0)].verdict.klass == "LogDivergent"
+        assert by_label[("power kernel q=1.5", 1.5)].verdict.klass == "LogDivergent"
+
+    def test_local_bound_at_n3_scans_the_sphere_of_c3(self):
+        rep = ex.verify_local_bound(n=3, cfg=CFG)
+        assert rep.passed
+        # the complement integral of |f|^3 at r = 0 is sigma(S^5)
+        assert rep.measured_sup >= quad.sphere_area(3)
+
     def test_local_bound_report(self):
         rep = ex.verify_local_bound(cfg=CFG)
         assert rep.passed
