@@ -276,15 +276,15 @@ def zonal_center(spec):
     return None
 
 
-def _cauchy_polar(w, with_arg=True, scratch=None):
+def _cauchy_polar(w, with_arg=True, buf=None):
     """(h2, t) = (|1 - w|^2, arg 1/(1 - w)) from a = 1 - Re w and b = -Im w:
     h2 = a^2 + b^2 and t = -atan2(b, a) = atan2(Im w, a), so the Cauchy
     kernel is h2^(-1/2) e^{it}.  Real arrays only, no complex temporary;
-    t is None unless asked for, and b^2 goes to ``scratch`` when given."""
+    t is None unless asked for, and b^2 goes to ``buf`` when given."""
     h2 = np.subtract(1.0, w.real, out=np.empty(w.shape))
     t = np.arctan2(w.imag, h2) if with_arg else None
     h2 *= h2
-    h2 += np.square(w.imag, out=scratch)
+    h2 += np.square(w.imag, out=buf)
     return h2, t
 
 
@@ -325,7 +325,7 @@ def zonal_eval(spec, w):
     if isinstance(spec, (PowerCauchy, LeviPower, LogCauchy)):
         out = np.empty(w.shape, dtype=complex)
         re, im = out.real, out.imag
-        h2, t = _cauchy_polar(w, scratch=re)
+        h2, t = _cauchy_polar(w, buf=re)
         if isinstance(spec, LogCauchy):
             np.log(h2, out=re)
             re *= -0.5
