@@ -12,8 +12,7 @@ from . import acceptance, experiments, functions, geometry, norms, quadrature
 from .functions import (Cauchy, Const, HarmonicKernel, LeviPower,
                         LeviReciprocal, LogCauchy, Poly, PowerCauchy, Sum,
                         parse_function)
-from .geometry import (Ellipsoid, Rescaled, UnitBall, Warped,
-                       boundary_dense_sequence, check_levi_estimate,
+from .geometry import (Quadric, boundary_dense_sequence, check_levi_estimate,
                        level_set_sampler, levi_form_min_eigenvalue,
                        levi_polynomial, parse_domain, project_to_boundary)
 from .norms import (ApproachGrid, IntersectionMetricSpec, OpenBall, QuadConfig,

@@ -22,7 +22,7 @@ from . import experiments as ex
 from . import functions as fn
 from . import norms
 from . import quadrature as quad
-from .geometry import parse_domain, quadric
+from .geometry import parse_domain
 
 CSV_HEADER = ["experiment_id", "lemma_id", "case_label", "p", "grid_param",
               "value", "stderr", "verdict", "rate", "r2", "passed", "seed"]
@@ -373,7 +373,7 @@ def _dispatch(args, file_cfg):
         fspec = fn.parse_function(args.f)
         domain = parse_domain(args.domain)
         if args.surface == "level":
-            if args.count is not None and quadric(domain)[2]:
+            if args.count is not None and domain.warps:
                 raise UsageError(f"--count: a level scan of {domain.describe()} "
                                  f"takes the thin shell, which does not read it")
             grid = _grid("level", args, norms.LEVEL_GRID)
@@ -494,7 +494,7 @@ def _run_lemma(args, cfg):
         raise UsageError(f"lemma {args.id} needs --n >= {MIN_N[args.id]}")
     if "domain" in given:
         given["domain"] = parse_domain(given["domain"])
-        if quadric(given["domain"])[2]:
+        if given["domain"].warps:
             raise UsageError(f"lemma {args.id} --domain "
                              f"{given['domain'].describe()}: its level sets do "
                              f"not scale to a quadric, which the lemma's scans need")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UnitBall, hermitian, levi_polynomial, quadric
+from .geometry import hermitian, levi_polynomial
 
 
 class FunctionError(ValueError):
@@ -226,7 +226,10 @@ def evaluate(spec, Z):
     if isinstance(spec, Sum):
         out = None
         for c, s in spec.terms:
-            v = complex(c) * evaluate(s, Z)
+            # term * c, never c * term: numpy computes a large temporary's
+            # product in place with the operands swapped, and complex
+            # products differ in the last bit between the two orders
+            v = evaluate(s, Z) * complex(c)
             out = v if out is None else out + v
         if out is None:
             return np.zeros(Z.shape[:-1], dtype=complex)
@@ -240,8 +243,7 @@ def evaluate(spec, Z):
 
 def _ball_levi_scale(domain):
     """c such that Q(z, zeta) = 2c(1 - <z, zeta>) on the (rescaled) unit ball."""
-    base, c, warps = quadric(domain)
-    return c if isinstance(base, UnitBall) and not warps else None
+    return domain.c if domain.ball and not domain.warps else None
 
 
 def zonal_center(spec):
@@ -315,7 +317,7 @@ def zonal_eval(spec, w):
     if isinstance(spec, Poly):
         out = np.zeros(w.shape, dtype=complex)
         for c, exps in spec.terms:
-            out += complex(c) * w ** exps[0]
+            out += w ** exps[0] * complex(c)  # term * c, as in evaluate
         return out
     if isinstance(spec, Cauchy):
         return 1.0 / (1.0 - w)
@@ -342,7 +344,7 @@ def zonal_eval(spec, w):
     if isinstance(spec, Sum):
         out = np.zeros(w.shape, dtype=complex)
         for coeff, s in spec.terms:
-            out += complex(coeff) * zonal_eval(s, w)
+            out += zonal_eval(s, w) * complex(coeff)  # term * c, as in evaluate
         return out
     raise FunctionError(f"spec {spec!r} is not zonal")
 
@@ -447,12 +449,21 @@ def _parse_poly(body, n):
     return Poly(tuple(terms), n)
 
 
+# the keys each kind of parse_function reads, every one exactly once
+_KEYS = {"cauchy": ("zeta",), "log": ("zeta",), "power": ("q", "zeta"),
+         "levi": ("domain", "zeta"), "levipow": ("domain", "q", "zeta"),
+         "harmonic": ("n", "y")}
+
+
 def parse_function(text):
     """Build a function spec on C^2 (harmonic: R^n) from a config string.
 
     Examples: "cauchy:zeta=1,0", "log:zeta=1,0", "power:q=1.5;zeta=1,0",
     "levi:domain=ellipsoid:a=1,2;zeta=1,0", "levipow:domain=...;q=1.5;zeta=1,0",
-    "harmonic:n=3;y=1,0,0", "const:1", "poly:z1^2+3".
+    "harmonic:n=3;y=1,0,0", "const:1", "poly:z1^2+3".  A missing, repeated or
+    unknown key raises FunctionError.  The keys of a levi or levipow domain
+    follow among the function's and go to ``geometry.parse_domain``, as c=2
+    does in "levi:domain=rescaled:base=ball:n=2;c=2;zeta=1,0".
     """
     from .geometry import parse_domain
 
@@ -461,12 +472,27 @@ def parse_function(text):
         return Const(complex(rest or 1), n=2)
     if kind == "poly":
         return _parse_poly(rest, 2)
-    kv = {}
+    if kind not in _KEYS:
+        raise FunctionError(f"unknown function kind {kind!r}")
+    kv, domain_keys = {}, []
     for part in rest.split(";"):
-        if not part:
+        if not part.strip():
             continue
         key, _, val = part.partition("=")
-        kv.setdefault(key.strip(), val.strip())
+        key = key.strip()
+        if key in kv:
+            raise FunctionError(f"function {text!r}: key {key!r} repeated")
+        if key in _KEYS[kind]:
+            kv[key] = val.strip()
+        elif "domain" in _KEYS[kind]:  # the domain's own keys, e.g. c=2
+            domain_keys.append(part)
+        else:
+            raise FunctionError(f"function {text!r}: unknown key {key!r}")
+    missing = [key for key in _KEYS[kind] if key not in kv]
+    if missing:
+        raise FunctionError(f"function {text!r}: missing key {missing[0]!r}")
+    if "domain" in kv:
+        kv["domain"] = ";".join([kv["domain"], *domain_keys])
     if kind == "cauchy":
         return Cauchy(_parse_vector(kv["zeta"]))
     if kind == "log":
@@ -478,10 +504,8 @@ def parse_function(text):
     if kind == "levipow":
         return LeviPower(parse_domain(kv["domain"]), _parse_vector(kv["zeta"]),
                          float(kv["q"]))
-    if kind == "harmonic":
-        return HarmonicKernel(tuple(float(x.real) for x in _parse_vector(kv["y"])),
-                              int(kv["n"]))
-    raise FunctionError(f"unknown function kind {kind!r}")
+    return HarmonicKernel(tuple(float(x.real) for x in _parse_vector(kv["y"])),
+                          int(kv["n"]))
 
 
 def describe(spec):

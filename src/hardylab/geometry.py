@@ -10,12 +10,15 @@ Conventions used throughout the package:
 * A defining function rho is negative inside the domain, zero on the boundary
   and has non-vanishing gradient there.  Inner level hypersurfaces are
   ``{rho = -eps}`` with ``eps > 0``.
-* A domain is its defining function: ``UnitBall``, ``Ellipsoid``, or either
-  under ``Rescaled`` and ``Warped`` wrappers, as ``parse_domain`` builds it.
+* A domain is its defining function, one ``Quadric``: rho = c exp(warps Re z_1)
+  (sum_j a_j |z_j|^2 - 1), as ``parse_domain`` builds it.  Each geometric
+  question is a read of its fields.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,161 +58,116 @@ def to_complex(X):
 # Defining functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitBall:
-    """rho(z) = |z|^2 - 1."""
-
-    n: int
-
-    def rho(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        return np.sum(np.abs(Z) ** 2, axis=-1) - 1.0
-
-    def dz(self, Z):
-        return np.conj(np.asarray(Z, dtype=complex))
-
-    def hess_zz(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        return np.zeros(Z.shape + (self.n,), dtype=complex)
-
-    def hess_zzbar(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        return np.broadcast_to(np.eye(self.n, dtype=complex), Z.shape + (self.n,)).copy()
-
-    @property
-    def weights(self):
-        return np.ones(self.n)
-
-    def describe(self):
-        return f"ball:n={self.n}"
+def _number(x):
+    """x in %g form where that reads back as x ("2", "0.5"), else repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
-    """rho(z) = sum_j a_j |z_j|^2 - 1 with all a_j > 0."""
+class Quadric:
+    """rho(z) = m(z) q(z): the quadric q = sum_j a_j |z_j|^2 - 1, a_j > 0,
+    times the multiplier m = c exp(warps Re z_1), c > 0.
+
+    ``c`` rescales the defining function and ``warps`` counts the factors
+    exp(Re z_1) that lemma 3.1 compares defining functions with; neither
+    moves the boundary.  ``ball`` marks the unit ball spelled "ball:n=N",
+    whose weights are all 1 and whose Levi polynomial the zonal path reads.
+    """
 
     a: tuple
+    c: float = 1.0
+    warps: int = 0
+    ball: bool = False
 
     def __post_init__(self):
-        if any(aj <= 0 for aj in self.a):
-            raise GeometryError("ellipsoid weights must be positive")
+        a = tuple(float(aj) for aj in self.a)
+        if not a or not all(0 < aj < math.inf for aj in a):
+            raise GeometryError("quadric weights must be positive and finite")
+        if self.ball and any(aj != 1.0 for aj in a):
+            raise GeometryError("the unit ball has unit weights")
+        if not 0 < self.c < math.inf:
+            raise GeometryError("rescale factor must be positive and finite")
+        if self.warps != int(self.warps) or self.warps < 0:
+            raise GeometryError("warps must be a whole number >= 0")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "warps", int(self.warps))
 
     @property
     def n(self):
         return len(self.a)
 
-    def rho(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        return np.sum(np.asarray(self.a) * np.abs(Z) ** 2, axis=-1) - 1.0
-
-    def dz(self, Z):
-        return np.asarray(self.a) * np.conj(np.asarray(Z, dtype=complex))
-
-    def hess_zz(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        return np.zeros(Z.shape + (self.n,), dtype=complex)
-
-    def hess_zzbar(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        h = np.diag(np.asarray(self.a, dtype=complex))
-        return np.broadcast_to(h, Z.shape + (self.n,)).copy()
-
     @property
     def weights(self):
-        return np.asarray(self.a, dtype=float)
+        return np.asarray(self.a)
 
-    def describe(self):
-        return "ellipsoid:a=" + ",".join(f"{aj:g}" for aj in self.a)
+    def _q(self, Z):
+        return np.sum(self.weights * np.abs(Z) ** 2, axis=-1) - 1.0
 
+    def _dq(self, Z):
+        # the ball's a_j = 1 stay out: complex 1 * conj(z) can flip a zero's sign
+        return np.conj(Z) if self.ball else self.weights * np.conj(Z)
 
-@dataclass(frozen=True)
-class Rescaled:
-    """rho = c * rho_base with c > 0: same domain, rescaled defining function."""
+    def multiplier(self, x1):
+        """m = c exp(warps x1) at points whose Re z_1 is x1."""
+        return self._scaled(np.exp(self.warps * x1))
 
-    base: object
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise GeometryError("rescale factor must be positive")
-
-    @property
-    def n(self):
-        return self.base.n
+    def _scaled(self, x):
+        """c x; unchanged, not multiplied by 1, when c = 1."""
+        return x if self.c == 1.0 else self.c * x
 
     def rho(self, Z):
-        return self.c * self.base.rho(Z)
+        Z = np.asarray(Z, dtype=complex)
+        if self.warps:
+            return self.multiplier(Z[..., 0].real) * self._q(Z)
+        return self._scaled(self._q(Z))
 
     def dz(self, Z):
-        return self.c * self.base.dz(Z)
-
-    def hess_zz(self, Z):
-        return self.c * self.base.hess_zz(Z)
-
-    def hess_zzbar(self, Z):
-        return self.c * self.base.hess_zzbar(Z)
-
-    def describe(self):
-        return f"rescaled:base={self.base.describe()};c={self.c:g}"
-
-
-def warp_multiplier(x1, warps=1):
-    """exp(warps * x1): the multiplier u(z) = exp(Re z_1) of Warped, raised to
-    the number of nested warps, at points whose Re z_1 is x1."""
-    return np.exp(warps * x1)
-
-
-@dataclass(frozen=True)
-class Warped:
-    """rho = u * rho_base with the smooth positive multiplier u(z) = exp(Re z_1)."""
-
-    base: object
-
-    @property
-    def n(self):
-        return self.base.n
-
-    def _u(self, Z):
+        # d(m q) = m dq + q dm, with m_{z1} = (warps / 2) m
         Z = np.asarray(Z, dtype=complex)
-        return warp_multiplier(Z[..., 0].real)
-
-    def rho(self, Z):
-        return self._u(Z) * self.base.rho(Z)
-
-    def dz(self, Z):
-        # d(u rho) = u_z rho + u rho_z ;  u_{z1} = u/2 for u = exp(Re z1)
-        Z = np.asarray(Z, dtype=complex)
-        u = self._u(Z)
-        out = u[..., None] * self.base.dz(Z)
-        out[..., 0] += 0.5 * u * self.base.rho(Z)
+        dq = self._dq(Z)
+        if not self.warps:
+            return self._scaled(dq)
+        m = self.multiplier(Z[..., 0].real)
+        out = m[..., None] * dq
+        out[..., 0] += self.warps / 2 * m * self._q(Z)
         return out
 
     def hess_zz(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        u = self._u(Z)
-        r = self.base.rho(Z)
-        dr = self.base.dz(Z)
-        h = u[..., None, None] * self.base.hess_zz(Z)
-        # u_{z1 z1} = u/4, u_{z1} = u/2, zero in other coordinates
-        h[..., 0, 0] += 0.25 * u * r
-        h[..., 0, :] += 0.5 * u[..., None] * dr
-        h[..., :, 0] += 0.5 * u[..., None] * dr
-        return h
+        return self._hessian(Z, np.zeros((self.n, self.n), dtype=complex), False)
 
     def hess_zzbar(self, Z):
+        return self._hessian(Z, np.diag(self.weights.astype(complex)), True)
+
+    def _hessian(self, Z, H, mixed):
+        """m H for the quadric's constant Hessian H, plus, when warped, the
+        multiplier's terms: q m_{z1 z1} = q m_{z1 zbar1} = (warps^2 / 4) m q
+        at (0, 0), and m_{z1} = (warps / 2) m times dq down the first column
+        and along the first row, conjugated there in the ``mixed`` Hessian."""
         Z = np.asarray(Z, dtype=complex)
-        u = self._u(Z)
-        r = self.base.rho(Z)
-        dr = self.base.dz(Z)
-        h = u[..., None, None] * self.base.hess_zzbar(Z)
-        h[..., 0, 0] += 0.25 * u * r
-        # u_{z1} rho_{zbar k} = (u/2) conj(rho_{z k}) along the first row
-        h[..., 0, :] += 0.5 * u[..., None] * np.conj(dr)
-        h[..., :, 0] += 0.5 * u[..., None] * dr
+        H = np.broadcast_to(H, Z.shape + (self.n,))
+        if not self.warps:
+            return self._scaled(H.copy())
+        m = self.multiplier(Z[..., 0].real)
+        dq = self._dq(Z)
+        h = m[..., None, None] * H
+        h[..., 0, 0] += self.warps ** 2 / 4 * m * self._q(Z)
+        mz = self.warps / 2 * m[..., None]
+        h[..., 0, :] += mz * (np.conj(dq) if mixed else dq)
+        h[..., :, 0] += mz * dq
         return h
 
     def describe(self):
-        return f"warped:base={self.base.describe()};u=x1"
+        """The one spelling of the domain: the rescaling outermost, then the
+        warps, then the ball or ellipsoid; ``parse_domain`` reads it back."""
+        text = (f"ball:n={self.n}" if self.ball
+                else "ellipsoid:a=" + ",".join(map(_number, self.a)))
+        for _ in range(self.warps):
+            text = f"warped:base={text};u=x1"
+        if self.c != 1.0:
+            text = f"rescaled:base={text};c={_number(self.c)}"
+        return text
 
 
 def grad_norm(defining, Z):
@@ -217,69 +175,80 @@ def grad_norm(defining, Z):
     return 2.0 * np.linalg.norm(defining.dz(Z), axis=-1)
 
 
-def quadric(defining):
-    """(base, c, warps): the UnitBall or Ellipsoid under the Rescaled and
-    Warped wrappers of ``defining``, the product c of the rescale factors,
-    and the number of warps."""
-    c, warps = 1.0, 0
-    while isinstance(defining, (Rescaled, Warped)):
-        if isinstance(defining, Rescaled):
-            c *= defining.c
-        else:
-            warps += 1
-        defining = defining.base
-    return defining, c, warps
-
-
 def level_weights(domain, eps):
     """(weights, eps_eff) with {rho = -eps} = {sum_j w_j |z_j|^2 = 1 - eps_eff},
     or None for a warped domain; raises if that level set is empty."""
-    base, c, warps = quadric(domain)
-    if warps:
+    if domain.warps:
         return None
-    eps_eff = eps / c
+    eps_eff = eps / domain.c
     if eps_eff >= 1.0:
         raise GeometryError("level set empty")
-    return base.weights, eps_eff
+    return domain.weights, eps_eff
 
 
 def box_halfwidths(domain):
     """Per-complex-coordinate half-width of a box containing the closure."""
-    return 1.0 / np.sqrt(quadric(domain)[0].weights)
+    return 1.0 / np.sqrt(domain.weights)
 
 
 def eps_max(domain):
     """Largest eps for which {rho = -eps} is guaranteed nonempty and smooth."""
-    _, c, warps = quadric(domain)
     # each multiplier exp(x1) is >= exp(-b1) on the bounding box
-    return 0.9 * (c * np.exp(-box_halfwidths(domain)[0]) ** warps)
+    return 0.9 * (domain.c * np.exp(-box_halfwidths(domain)[0]) ** domain.warps)
+
+
+# parse_domain's kinds: the key that a base reads, or that a wrapper adds
+_BASE_KEYS = {"ball": "n", "ellipsoid": "a"}
+_WRAPPER_KEYS = {"rescaled": "c", "warped": "u"}
 
 
 def parse_domain(text):
     """The defining function of a domain, from a config string.
 
-    Examples: "ball:n=2", "ellipsoid:a=1,2",
-    "rescaled:base=ellipsoid:a=1,2;c=2", "warped:base=ball:n=2;u=x1".
+    A chain of "rescaled:base=" and "warped:base=" prefixes ends in
+    "ball:n=N" or "ellipsoid:a=A1,...,An"; then come that base's key and one
+    key per prefix, in any order: c=C for each rescaling (c is their
+    product) and u=x1 for each warp.  A missing, repeated or unknown key
+    raises GeometryError.  Examples: "ball:n=2", "ellipsoid:a=1,2",
+    "rescaled:base=ellipsoid:a=1,2;c=2", "warped:base=ball:n=2;u=x1",
+    "rescaled:base=warped:base=ball:n=2;u=x1;c=2".
     """
-    kind, _, rest = text.strip().partition(":")
-    kv = {}
+    chain, rest = [], text.strip()
+    while True:
+        kind, _, rest = rest.partition(":")
+        if kind not in _WRAPPER_KEYS:
+            break
+        if not rest.startswith("base="):
+            raise GeometryError(f"domain {text!r}: {kind} needs base=<domain>")
+        chain.append(kind)
+        rest = rest[len("base="):]
+    if kind not in _BASE_KEYS:
+        raise GeometryError(f"unknown domain kind {kind!r}")
+    want = Counter([_BASE_KEYS[kind]] + [_WRAPPER_KEYS[k] for k in chain])
+    got = {}
     for part in rest.split(";"):
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        kv[key.strip()] = val.strip()
-    if kind == "ball":
-        return UnitBall(int(kv["n"]))
-    if kind == "ellipsoid":
-        a = tuple(float(x) for x in kv["a"].split(","))
-        return Ellipsoid(a)
-    if kind == "rescaled":
-        return Rescaled(parse_domain(kv["base"]), float(kv["c"]))
-    if kind == "warped":
-        if kv.get("u", "x1") != "x1":
-            raise GeometryError(f"unknown multiplier {kv['u']!r}")
-        return Warped(parse_domain(kv["base"]))
-    raise GeometryError(f"unknown domain kind {kind!r}")
+        if part.strip():
+            key, _, val = part.partition("=")
+            got.setdefault(key.strip(), []).append(val.strip())
+    unknown = [key for key in got if key not in want]
+    if unknown:
+        raise GeometryError(f"domain {text!r}: unknown key {unknown[0]!r}")
+    for key, count in want.items():
+        given = len(got.get(key, ()))
+        if given != count:
+            raise GeometryError(f"domain {text!r}: expected {count} '{key}=', "
+                                f"got {given}")
+    if any(u != "x1" for u in got.get("u", ())):
+        raise GeometryError(f"domain {text!r}: unknown multiplier, only u=x1")
+    try:
+        if kind == "ball":
+            a = (1.0,) * int(got["n"][0])
+        else:
+            a = tuple(float(x) for x in got["a"][0].split(","))
+        c = math.prod(float(x) for x in got.get("c", ()))
+    except ValueError as exc:
+        raise GeometryError(f"domain {text!r}: {exc}") from None
+    return Quadric(a, c, warps=len(got.get("u", ())), ball=kind == "ball")
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +300,8 @@ def boundary_dense_sequence(domain, count, seed=7):
 
 def _boundary_scale(domain, dirs):
     """Solve rho(t * x) = 0 for t > 0 along each direction x (star-shaped rho)."""
-    base, _, warps = quadric(domain)
-    if not warps:  # the quadric's radial scale does not depend on c
-        return 1.0 / np.sqrt(np.sum(base.weights * np.abs(dirs) ** 2, axis=-1))
+    if not domain.warps:  # the quadric's radial scale does not depend on c
+        return 1.0 / np.sqrt(np.sum(domain.weights * np.abs(dirs) ** 2, axis=-1))
     # bisection on t; all supported definings are products of a positive factor
     # with a star-shaped quadratic, so rho(t x) is increasing in t near the root
     lo = np.zeros(dirs.shape[0])
@@ -355,11 +323,10 @@ def project_to_boundary(domain, z):
     z = np.asarray(z, dtype=complex)
     if np.max(np.abs(z)) > 4.0 * np.max(box_halfwidths(domain)):
         raise GeometryError("point outside the bounding box")
-    base, _, warps = quadric(domain)
-    if not warps:
+    if not domain.warps:
         if np.linalg.norm(z) == 0:
             raise GeometryError("cannot project the origin radially")
-        return z * (1.0 / np.sqrt(np.sum(base.weights * np.abs(z) ** 2)))
+        return z * (1.0 / np.sqrt(np.sum(domain.weights * np.abs(z) ** 2)))
     w = z.copy()
     if np.linalg.norm(w) == 0:
         w = np.full(domain.n, 1e-3 + 0j)

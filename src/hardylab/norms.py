@@ -17,7 +17,7 @@ import numpy as np
 
 from . import functions as fn
 from . import quadrature as quad
-from .geometry import GeometryError, level_weights, quadric
+from .geometry import GeometryError, level_weights
 
 LN2 = math.log(2.0)
 GRID_FLOOR = 1e-9
@@ -190,8 +190,8 @@ def _zonal_ok(fspec, surface, cfg):
     if zc is None or cfg.force_mc:
         return False
     if isinstance(surface, LevelSurface):
-        base, _, warps = quadric(surface.domain)  # spheres: all weights 1
-        if warps or np.any(base.weights != 1.0):
+        domain = surface.domain  # spheres: all weights 1
+        if domain.warps or np.any(domain.weights != 1.0):
             return False
     elif not isinstance(surface, (SphereSurface, CapSurface)):
         return False
@@ -566,7 +566,7 @@ def level_scan_domain(fspec, p, domain, grid=None, cfg=None, restrict=None):
     """Scan of level-set integrals of |f|^p over {rho = -eps}, optionally
     restricted to an open set U.  The rule is the parametrized one where
     ``level_weights`` scales the level to a quadric, else the thin shell."""
-    method = "thin-shell" if quadric(domain)[2] else "parametrized"
+    method = "thin-shell" if domain.warps else "parametrized"
     surface = LevelSurface(domain, method=method, restrict=restrict)
     return scan(fspec, p, grid or LEVEL_GRID, surface, cfg)
 

@@ -24,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (box_halfwidths, grad_norm, quadric, rng_stream,
-                       to_complex, to_real, warp_multiplier)
+from .geometry import box_halfwidths, grad_norm, rng_stream, to_complex, to_real
 
 OVERFLOW_LIMIT = 1e300
 MIN_COUNT = 100  # fewest nodes a sphere Monte Carlo rule, or --count, takes
@@ -702,18 +701,19 @@ def philox_skip(state, k):
     return bits
 
 
-def shell_screen(X, weights, c, warps, eps, h):
+def shell_screen(X, domain, eps, h):
     """Mask of the real proposals X (rows x1, y1, ..., xn, yn) that may lie in
-    the shell |rho + eps| < h of rho = c exp(warps x1) (sum_j w_j |z_j|^2 - 1).
+    the shell |rho + eps| < h of the domain's rho = c exp(warps x1)
+    (sum_j a_j |z_j|^2 - 1).
 
     The quadric is evaluated in real coordinates and a row is dropped only
     when it misses the shell by more than SHELL_SCREEN_MARGIN times the
-    uncancelled size c exp(warps x1) (sum_j w_j |z_j|^2 + 1).  That margin
+    uncancelled size c exp(warps x1) (sum_j a_j |z_j|^2 + 1).  That margin
     is far above the rounding gap to the exact rho, so every row the exact
     test accepts passes, and far below h at every grid level.
     """
-    s = (X * X) @ np.repeat(weights, 2)
-    m = c * warp_multiplier(X[:, 0], warps)
+    s = (X * X) @ np.repeat(domain.weights, 2)
+    m = domain.multiplier(X[:, 0])
     return np.abs(m * (s - 1.0) + eps) < h + SHELL_SCREEN_MARGIN * m * (s + 1.0)
 
 
@@ -757,8 +757,6 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     spans = his - los
     vols = np.prod(spans, axis=1)
     K = len(vols)
-    base, scale, warps = quadric(domain)
-    a = base.weights
     d = 2 * domain.n
     proposals = int(proposals)
     workers = shell_workers()
@@ -781,7 +779,7 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
         X *= U
         X += np.take(los, cc, axis=0, out=U, mode="clip")
         # the exact rho only decides among the proposals the screen keeps
-        X = X[shell_screen(X, a, scale, warps, eps, h)]
+        X = X[shell_screen(X, domain, eps, h)]
         Z = to_complex(X)
         mask = np.abs(domain.rho(Z) + eps) < h
         if not mask.any():

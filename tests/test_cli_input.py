@@ -8,12 +8,40 @@ import pytest
 from hardylab import cli
 
 BAD_FUNCTIONS = ["power:q=0;zeta=1,0", "cauchy:zeta=2,0", "power:q=-2;zeta=1,0",
-                 "harmonic:n=2;y=1,0"]
+                 "harmonic:n=2;y=1,0",
+                 # a missing, repeated or unknown key, also the domain's
+                 "cauchy", "power:zeta=1,0", "power:q=1.5;q=3;zeta=1,0",
+                 "cauchy:zeta=1,0;q=2", "levi:domain=rescaled:base=ball:n=2;zeta=1,0"]
+BAD_DOMAINS = ["ball", "ellipsoid:a=1,x", "rescaled:base=ball:n=2",
+               "warped:base=ball:n=2;u=x2", "ball:n=2;n=2"]
 
 
 @pytest.mark.parametrize("text", BAD_FUNCTIONS)
 def test_function_spec_outside_its_domain_is_an_error(text, capsys):
     assert cli.run(["scan", "--f", text, "--p", "2"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# every subcommand with a flag that reads a function or a domain string,
+# the string last
+FUNCTION_FLAGS = [
+    ["norm", "--p", "2", "--f"], ["scan", "--p", "2", "--f"],
+    ["local", "--p", "2", "--center", "1,0", "--radius", "0.5", "--f"],
+    ["witness", "--f"], ["density-demo", "--base"],
+    ["metric", "--g", "const:0", "--f"], ["metric", "--f", "cauchy:zeta=1,0", "--g"]]
+DOMAIN_FLAGS = [
+    ["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--domain"],
+    ["levi-check", "--domain"], ["lemma", "--id", "4.2", "--domain"],
+    ["lemma", "--id", "4.3", "--domain"]]
+MALFORMED = ([(argv, text) for argv in FUNCTION_FLAGS for text in BAD_FUNCTIONS]
+             + [(argv, text) for argv in DOMAIN_FLAGS for text in BAD_DOMAINS])
+
+
+@pytest.mark.parametrize("argv,text", MALFORMED,
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_a_malformed_function_or_domain_string_is_an_error(argv, text, capsys):
+    assert cli.run([*argv, text]) == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 

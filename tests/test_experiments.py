@@ -110,7 +110,7 @@ class TestSummaryLines:
 
 class TestBallEllipsoidConsistency:
     def test_ball_critical_exponent_bracket(self):
-        dom = geo.Ellipsoid((1.0, 1.0))
+        dom = geo.Quadric((1.0, 1.0))
         rep = ex.verify_lemma_4_2(domain=dom, cfg=CFG)
         lo, hi = map(float, rep.extras["critical_exponent_bracket"][1:-1].split(","))
         assert hi - lo <= 0.5
@@ -119,7 +119,7 @@ class TestBallEllipsoidConsistency:
 
     def test_radial_and_level_routes_agree(self):
         # same verdicts for the Cauchy kernel through both scan routes
-        dom = geo.Ellipsoid((1.0, 1.0))
+        dom = geo.Quadric((1.0, 1.0))
         f_level = fn.LeviReciprocal(dom, E1)
         f_rad = fn.Cauchy(E1)
         for p, expected in ((1.5, "In"), (2.5, "Out")):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hardylab import functions as fn
 from hardylab import geometry as geo
+from hardylab import quadrature as quad
 
 ELL = geo.parse_domain("ellipsoid:a=1,2")
 BALL = geo.parse_domain("ball:n=2")
@@ -202,10 +203,26 @@ class TestAlgebraAndParsing:
             assert np.allclose(fn.zonal_eval(spec, lam), fn.evaluate(spec, z),
                                rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("evaluator", ["evaluate", "zonal_eval"])
+    def test_complex_coefficient_gives_the_same_bits_at_any_node_count(self, evaluator):
+        # from 16384 complex nodes up numpy multiplies a temporary in place,
+        # so the sum must fix the operand order itself
+        spec = fn.combine((0.3 + 0.7j, fn.Cauchy(E1)), (-0.2 + 1e-3j, fn.Const(1.0)))
+        nodes = 0.9 * quad.sample_sphere(2, 40_000, seed=7)
+        if evaluator == "zonal_eval":
+            nodes = geo.hermitian(nodes, np.array(E1))
+        f = getattr(fn, evaluator)
+        full = f(spec, nodes)
+        for count in (1000, 16_383):
+            assert np.array_equal(f(spec, nodes[:count]), full[:count])
+
     @pytest.mark.parametrize("text", [
         "cauchy:zeta=1,0", "log:zeta=1,0", "power:q=1.5;zeta=1,0",
         "levi:domain=ellipsoid:a=1,2;zeta=1,0",
         "levipow:domain=ellipsoid:a=1,2;q=1.5;zeta=1,0",
+        "levi:domain=rescaled:base=ball:n=2;c=2;zeta=1,0",
+        "levipow:domain=warped:base=ellipsoid:a=1,2;u=x1;q=1.5;zeta=1,0",
+        "levi:domain=rescaled:base=warped:base=ball:n=2;u=x1;c=0.5;zeta=1,0",
         "harmonic:n=3;y=1,0,0", "const:1", "poly:z1^2+3",
     ])
     def test_parse_describe_roundtrip(self, text):

@@ -30,14 +30,38 @@ def test_hermitian_conjugate_symmetry(zs, ws):
     assert geo.hermitian(z, w) == pytest.approx(np.conj(geo.hermitian(w, z)), abs=1e-12)
 
 
+# ball and ellipsoid x c x warps, described and parsed back
+QUADRICS = [geo.Quadric(a, c, warps, ball)
+            for a, ball in (((1.0, 1.0), True), ((1.0, 2.0), False))
+            for c in (1.0, 0.5, 0.1234567) for warps in (0, 1, 2)]
+
+
 @pytest.mark.parametrize("domain,expected", [
     (BALL, "ball:n=2"), (ELL, "ellipsoid:a=1,2"),
     (geo.parse_domain("rescaled:base=ellipsoid:a=1,2;c=2"),
      "rescaled:base=ellipsoid:a=1,2;c=2"),
     (WARP, "warped:base=ellipsoid:a=1,2;u=x1"),
+    # the rescaling is read at any depth and described outermost
+    (geo.parse_domain("warped:base=rescaled:base=ball:n=2;c=0.5;u=x1"),
+     "rescaled:base=warped:base=ball:n=2;u=x1;c=0.5"),
+    *((domain, None) for domain in QUADRICS),
 ])
 def test_parse_roundtrip(domain, expected):
-    assert domain.describe() == expected
+    if expected is not None:
+        assert domain.describe() == expected
+    assert geo.parse_domain(domain.describe()) == domain
+
+
+@pytest.mark.parametrize("text", [
+    "ball", "ball:n=x", "ellipsoid:a=1,x", "ellipsoid:a=1,0", "cube:n=2",
+    "rescaled:base=ball:n=2", "rescaled:base=ball:n=2;c=0",
+    "rescaled:ball:n=2;c=2", "warped:base=ball:n=2",
+    "warped:base=ball:n=2;u=x2", "ball:n=2;n=2",
+    "rescaled:base=ball:n=2;c=2;c=2", "ellipsoid:a=1,2;c=2",
+])
+def test_parse_rejects_a_missing_repeated_or_unknown_key(text):
+    with pytest.raises(geo.GeometryError):
+        geo.parse_domain(text)
 
 
 def test_defining_values():
@@ -80,7 +104,7 @@ def test_warped_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize("domain,eig,beta", [
     (BALL, 1.0, 1 / 3), (ELL, 1.0, 1 / 3),
-    (geo.Ellipsoid((3.0, 5.0)), 3.0, 1.0),
+    (geo.Quadric((3.0, 5.0)), 3.0, 1.0),
 ])
 def test_levi_form_min_eigenvalue(domain, eig, beta):
     val = geo.levi_form_min_eigenvalue(domain, samples=100, seed=7)
@@ -171,7 +195,7 @@ class TestLevelSetSampler:
             assert est.value == pytest.approx(exact, rel=1e-12)
 
     def test_unit_weights_match_ball(self):
-        ell1 = geo.Ellipsoid((1.0, 1.0))
+        ell1 = geo.Quadric((1.0, 1.0))
         s1 = geo.level_set_sampler(ell1, 0.1, "parametrized", 20_000, seed=7)
         s2 = geo.level_set_sampler(BALL, 0.1, "parametrized", 20_000, seed=7)
         e1 = s1.integrate(lambda Z: np.linalg.norm(Z, axis=1))

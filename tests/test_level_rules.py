@@ -11,16 +11,15 @@ from hardylab import experiments as ex
 from hardylab import geometry as geo
 from hardylab import norms
 from hardylab import quadrature as quad
-from hardylab.geometry import (Ellipsoid, Rescaled, UnitBall, Warped,
-                               box_halfwidths, grad_norm, quadric, rng_stream,
+from hardylab.geometry import (Quadric, box_halfwidths, grad_norm, rng_stream,
                                to_complex, to_real)
 
 ELL = geo.parse_domain("ellipsoid:a=1,2")
 WARP = geo.parse_domain("warped:base=ellipsoid:a=1,2;u=x1")
-RESCALED_WARP = Rescaled(Warped(Ellipsoid((1, 2))), 2.0)
-WARPED_RESCALED = Warped(Rescaled(UnitBall(2), 0.5))
-WARP_TWICE = Warped(Warped(Ellipsoid((1, 2))))
-BALL = UnitBall(2)
+RESCALED_WARP = Quadric((1, 2), c=2.0, warps=1)
+WARPED_RESCALED = Quadric((1, 1), c=0.5, warps=1, ball=True)
+WARP_TWICE = Quadric((1, 2), warps=2)
+BALL = Quadric((1, 1), ball=True)
 E1 = np.array([1.0 + 0j, 0j])
 # the deepest level of the warped containment scan of lemma 3.1
 DEEP_EPS = 0.2 * 2.0 ** -8
@@ -181,8 +180,7 @@ def test_shell_screen_keeps_every_proposal_the_exact_test_accepts(domain, eps):
     b = np.repeat(box_halfwidths(domain), 2)
     raw = -b + 2.0 * b * rng_stream(5, 0x5C).random((1_000_000, b.size))
     X = np.concatenate([raw, _shell_boundary_points(domain, eps, h, 20_000, 3)])
-    base, c, warps = quadric(domain)
-    screen = quad.shell_screen(X, base.weights, c, warps, eps, h)
+    screen = quad.shell_screen(X, domain, eps, h)
     exact = np.abs(domain.rho(to_complex(X)) + eps) < h
     assert exact[raw.shape[0]:].sum() > 10_000  # the boundary points test the edge
     assert np.all(screen[exact])

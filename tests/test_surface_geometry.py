@@ -1,6 +1,6 @@
-"""Each geometric decision has one owner: ``geometry.quadric`` unwraps the
-defining function, ``geometry.level_weights`` scales a level, and the region
-of a restricted surface is applied before |f| is evaluated."""
+"""Each geometric decision has one owner: the ``geometry.Quadric`` fields
+hold the defining function, ``geometry.level_weights`` scales a level, and
+the region of a restricted surface is applied before |f| is evaluated."""
 
 import math
 
@@ -13,33 +13,34 @@ from hardylab import norms
 from hardylab import quadrature as quad
 
 E1 = (1.0 + 0j, 0j)
-ELL = geo.Ellipsoid((1.0, 2.0))
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# domain: (quadric, level_weights at eps = 0.1, box half-widths, eps_max)
+# domain: ((a, c, warps, ball), level_weights at eps = 0.1, box half-widths,
+# eps_max)
 DOMAINS = {
     "ball": (geo.parse_domain("ball:n=2"),
-             (geo.UnitBall(2), 1.0, 0), ([1.0, 1.0], 0.1),
+             ((1.0, 1.0), 1.0, 0, True), ([1.0, 1.0], 0.1),
              [1.0, 1.0], 0.9),
     "ellipsoid": (geo.parse_domain("ellipsoid:a=1,2"),
-                  (ELL, 1.0, 0), ([1.0, 2.0], 0.1),
+                  ((1.0, 2.0), 1.0, 0, False), ([1.0, 2.0], 0.1),
                   [1.0, SQRT_HALF], 0.9),
     "rescaled": (geo.parse_domain("rescaled:base=ellipsoid:a=1,2;c=2"),
-                 (ELL, 2.0, 0), ([1.0, 2.0], 0.05),
+                 ((1.0, 2.0), 2.0, 0, False), ([1.0, 2.0], 0.05),
                  [1.0, SQRT_HALF], 1.8),
     "warped": (geo.parse_domain("warped:base=ball:n=2;u=x1"),
-               (geo.UnitBall(2), 1.0, 1), None,
+               ((1.0, 1.0), 1.0, 1, True), None,
                [1.0, 1.0], 0.9 * (1.0 * np.exp(-1.0))),
-    "rescaled-warped": (geo.Rescaled(geo.Warped(ELL), 2.0),
-                        (ELL, 2.0, 1), None,
-                        [1.0, SQRT_HALF], 0.9 * (2.0 * np.exp(-1.0))),
+    "rescaled-warped": (
+        geo.parse_domain("rescaled:base=warped:base=ellipsoid:a=1,2;u=x1;c=2"),
+        ((1.0, 2.0), 2.0, 1, False), None,
+        [1.0, SQRT_HALF], 0.9 * (2.0 * np.exp(-1.0))),
 }
 
 
 @pytest.mark.parametrize("name", list(DOMAINS))
 def test_quadric_and_the_readers_of_it(name):
     domain, quadric, level, box, eps_max = DOMAINS[name]
-    assert geo.quadric(domain) == quadric
+    assert (domain.a, domain.c, domain.warps, domain.ball) == quadric
     lw = geo.level_weights(domain, 0.1)
     if level is None:
         assert lw is None

@@ -37,8 +37,7 @@ def _kappa_s(spec):
     if isinstance(spec, fn.PowerCauchy):
         return 1.0, len(spec.zeta) / spec.q
     if isinstance(spec, fn.LeviPower):
-        _, c, _ = geo.quadric(spec.domain)
-        return 2.0 * c, spec.domain.n / spec.q
+        return 2.0 * spec.domain.c, spec.domain.n / spec.q
     return None
 
 
