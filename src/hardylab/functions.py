@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import hermitian, levi_polynomial
+from .geometry import _number, hermitian, levi_polynomial
 
 
 class FunctionError(ValueError):
@@ -349,6 +349,30 @@ def zonal_eval(spec, w):
     raise FunctionError(f"spec {spec!r} is not zonal")
 
 
+def conjugation_even(spec):
+    """Whether |f| at the pairing conj(w) is |f| at w bit for bit, as
+    ``quadrature.integrate_zonal(even=True)`` needs.
+
+    It holds when every atom is a Cauchy, log or power kernel or a Levi
+    kernel on a (rescaled) ball, whose value at conj(w) is the conjugate of
+    the value at w, and every coefficient and constant of a Sum, Poly or
+    Const is real, so that the combination keeps that symmetry.  A complex
+    constant breaks it inside a sum: |conj(g) + c| is not |g + c|.
+    """
+    if isinstance(spec, Const):
+        return complex(spec.c).imag == 0
+    if isinstance(spec, Poly):
+        return all(complex(c).imag == 0 for c, _ in spec.terms)
+    if isinstance(spec, (Cauchy, LogCauchy, PowerCauchy)):
+        return True
+    if isinstance(spec, (LeviReciprocal, LeviPower)):
+        return _ball_levi_scale(spec.domain) is not None
+    if isinstance(spec, Sum):
+        return all(complex(c).imag == 0 and conjugation_even(s)
+                   for c, s in spec.terms)
+    return False
+
+
 def zonal_abs(spec, w):
     """|zonal_eval(spec, w)|.  The power atoms' (kappa h)^-s and the log's
     |log h - it| = sqrt((log h)^2 + t^2) are computed in place from
@@ -512,7 +536,7 @@ def describe(spec):
     """Config-style string for reports; inverse of parse_function where possible."""
     if isinstance(spec, Const):
         c = complex(spec.c)
-        return f"const:{c.real:g}" if c.imag == 0 else f"const:{c}"
+        return f"const:{_number(c.real)}" if c.imag == 0 else f"const:{c}"
     if isinstance(spec, Poly):
         return "poly:" + "+".join(
             _describe_monomial(c, e) for c, e in spec.terms)
@@ -521,31 +545,34 @@ def describe(spec):
     if isinstance(spec, LogCauchy):
         return "log:zeta=" + _vector_text(spec.zeta)
     if isinstance(spec, PowerCauchy):
-        return f"power:q={spec.q:g};zeta=" + _vector_text(spec.zeta)
+        return f"power:q={_number(spec.q)};zeta=" + _vector_text(spec.zeta)
     if isinstance(spec, LeviReciprocal):
         return f"levi:domain={spec.domain.describe()};zeta=" + _vector_text(spec.zeta)
     if isinstance(spec, LeviPower):
-        return (f"levipow:domain={spec.domain.describe()};q={spec.q:g};zeta="
+        return (f"levipow:domain={spec.domain.describe()};q={_number(spec.q)};zeta="
                 + _vector_text(spec.zeta))
     if isinstance(spec, HarmonicKernel):
-        return f"harmonic:n={spec.n};y=" + ",".join(f"{v:g}" for v in spec.y)
+        return f"harmonic:n={spec.n};y=" + ",".join(map(_number, spec.y))
     if isinstance(spec, Sum):
-        return "sum(" + ",".join(f"{c:g}*[{describe(s)}]" if np.isreal(c) else
-                                 f"({c})*[{describe(s)}]" for c, s in spec.terms) + ")"
+        return "sum(" + ",".join(f"{_coefficient_text(c)}*[{describe(s)}]"
+                                 for c, s in spec.terms) + ")"
     return repr(spec)
 
 
 def _vector_text(v):
-    parts = []
-    for x in v:
-        x = complex(x)
-        parts.append(f"{x.real:g}" if x.imag == 0 else str(x))
-    return ",".join(parts)
+    return ",".join(_number(x.real) if x.imag == 0 else str(x)
+                    for x in map(complex, v))
+
+
+def _coefficient_text(c):
+    """A coefficient that reads back exactly: real ones as ``_number``,
+    complex ones parenthesized."""
+    c = complex(c)
+    return _number(c.real) if c.imag == 0 else f"({c})"
 
 
 def _describe_monomial(c, exps):
-    c = complex(c)
-    ctext = f"{c.real:g}" if c.imag == 0 else f"({c})"
+    ctext = _coefficient_text(c)
     var = "".join(f"z{j+1}^{e}" if e > 1 else f"z{j+1}"
                   for j, e in enumerate(exps) if e)
     if not var:

@@ -383,9 +383,13 @@ def levi_polynomial(domain, z, zeta):
     z = np.asarray(z, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
     d = domain.dz(zeta)
-    A = domain.hess_zz(zeta)
     delta = z - zeta
+    if not domain.warps:  # hess_zz of a quadric is 0: only a zero's sign moves
+        q = np.sum(d * delta, axis=-1)
+        q *= -2.0  # in place, so no temporary of the node count is left
+        return q
     lin = 2.0 * np.sum(d * delta, axis=-1)
+    A = domain.hess_zz(zeta)
     quad = np.einsum("...j,...jk,...k->...", delta, A, delta)
     return -(lin + quad)
 

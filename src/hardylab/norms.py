@@ -233,7 +233,8 @@ def _zonal_integral(fspec, ps, surface, x):
         if (c <= -1.0) == complement:  # the region is empty
             return quad.IntegralEstimate(0.0, 0.0, 0, "zonal"), factor
         c, complement = -1.0, False  # the whole sphere: one cached rule
-    return quad.integrate_zonal(gt, n, c, complement), factor
+    return quad.integrate_zonal(gt, n, c, complement,
+                                even=fn.conjugation_even(fspec)), factor
 
 
 def _sphere_mc(fspec, ps, surface, r, cfg, seed):

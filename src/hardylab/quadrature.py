@@ -19,7 +19,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -356,16 +356,32 @@ def _zonal_calibration(n):
     return sphere_area(n) / mass
 
 
-def integrate_zonal(gt, n, c=-1.0, complement=False):
+def integrate_zonal(gt, n, c=-1.0, complement=False, even=False):
     """Deterministic quadrature of z -> gt(<z, zeta>) over the unit sphere of C^n.
 
     ``gt`` must be vectorized over a complex array of pairings with |lam| <= 1.
     The integral runs over {Re lam > c}, or its complement with
     ``complement``: the zonal images of a metric cap around zeta and of its
     complement.  The default c = -1 is the whole sphere.
+
+    ``even`` promises that gt(conj(lam)) equals gt(lam) bit for bit.  The
+    rule's second half is its first mirrored, lam -> conj(lam) with the same
+    weights, so gt is then evaluated on the first half only and reduced with
+    doubled weights.  The estimate is the full rule's bit for bit: doubling
+    is exact, and every non-empty rule has 2N > 128 nodes with N % 8 == 0,
+    where numpy's pairwise sum splits the 2N terms at N, so their sum is
+    twice the sum of one half.  Only a product of weight and value below the
+    normal range (2^-1022) could round differently when doubled.  The
+    estimate reports the full rule's node count.
     """
     lam, w = _zonal_nodes(n, float(c), complement)
-    return reduce_nodes(w, gt(lam), "zonal")
+    if not even:
+        return reduce_nodes(w, gt(lam), "zonal")
+    half = lam.size // 2
+    est = reduce_nodes(2.0 * w[:half], gt(lam[:half]), "zonal")
+    if isinstance(est, IntegralEstimate):
+        return replace(est, count=lam.size)
+    return [replace(e, count=lam.size) for e in est]
 
 
 # ---------------------------------------------------------------------------

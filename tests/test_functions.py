@@ -230,6 +230,22 @@ class TestAlgebraAndParsing:
         again = fn.parse_function(fn.describe(spec))
         assert again == spec
 
+    @pytest.mark.parametrize("spec", [
+        fn.Cauchy((2 ** -0.5, 2 ** -0.5)), fn.PowerCauchy(E1, 1.2345678),
+        fn.LeviPower(ELL, E1, 1.0 + 1e-9), fn.Const(1 / 3),
+        fn.Poly(((1 / 3, (2, 0)), (-0.7, (0, 0))), 2),
+    ], ids=["cauchy-diagonal", "power-long-q", "levipow-long-q", "const-third",
+            "poly-long-coefficients"])
+    def test_long_numbers_read_back_exactly(self, spec):
+        assert fn.parse_function(fn.describe(spec)) == spec
+
+    @pytest.mark.parametrize("text", [
+        "cauchy:zeta=1,0", "log:zeta=1,0", "power:q=1.5;zeta=1,0", "const:1",
+        "harmonic:n=3;y=1,0,0", "poly:z1^2+3",
+    ])
+    def test_short_numbers_keep_their_spelling(self, text):
+        assert fn.describe(fn.parse_function(text)) == text
+
     def test_poly_parse_values(self):
         p = fn.parse_function("poly:z1^2+3")
         z = np.array([0.5 + 0.5j, 0.1j])
