@@ -7,7 +7,9 @@ batches of points and raises on inputs outside the declared domain of the
 function.  Specs whose values depend on the input only through one Hermitian
 pairing expose a zonal form (``zonal_center`` / ``zonal_eval``) that the
 quadrature layer exploits; ``zonal_abs`` gives the modulus the norms
-integrate, for the power and log kernels in real arithmetic.
+integrate, for the power and log kernels in real arithmetic.  On level sets
+``level_abs`` gives the modulus at points, for the Levi kernels of an
+unwarped quadric in real arithmetic.
 """
 
 from __future__ import annotations
@@ -392,6 +394,50 @@ def zonal_abs(spec, w):
     return np.abs(zonal_eval(spec, w))
 
 
+def level_abs(spec, Z):
+    """|evaluate(spec, Z)| at points Z of shape (..., n), the point-set
+    sibling of ``zonal_abs``.
+
+    On an unwarped quadric the Levi polynomial is Q = -2 S with
+    S = sum_j d_j (z_j - zeta_j) and d = drho(zeta), so the Levi kernels'
+    |Q|^-s = (4 h2)^(-s/2), h2 = |S|^2, are formed from the real and
+    imaginary parts of Z, with s = 1 or n/q.  The same FunctionError as
+    ``evaluate``'s is raised where Re Q <= 0.  Warped domains, Sums and
+    every other spec take the modulus of ``evaluate``.
+    """
+    Z = np.asarray(Z)
+    if not isinstance(spec, (LeviReciprocal, LeviPower)) or spec.domain.warps:
+        return np.abs(evaluate(spec, Z))
+    zeta = np.asarray(spec.zeta, dtype=complex)
+    re, im = _levi_pairing(spec.domain.dz(zeta), zeta, Z)
+    if np.any(re >= 0.0):  # Re Q = -2 Re S
+        raise FunctionError("outside zero-free region")
+    re *= re
+    im *= im
+    re += im
+    s = 1.0 if isinstance(spec, LeviReciprocal) else spec.domain.n / spec.q
+    return _power_modulus(re, 2.0, s)
+
+
+def _levi_pairing(d, zeta, Z):
+    """(Re S, Im S) of S = sum_j d_j (z_j - zeta_j) in real arithmetic:
+    d_j (x + iy) = (a x - b y) + i (a y + b x) with a + ib = d_j, each
+    product left out where its factor a or b is 0."""
+    re = np.zeros(Z.shape[:-1])
+    im = np.zeros(Z.shape[:-1])
+    for j, dj in enumerate(d):
+        x = Z.real[..., j] - zeta[j].real
+        y = Z.imag[..., j] - zeta[j].imag
+        a, b = dj.real, dj.imag
+        if a:
+            re += a * x
+            im += a * y
+        if b:
+            re -= b * y
+            im += b * x
+    return re, im
+
+
 # ---------------------------------------------------------------------------
 # Algebra
 # ---------------------------------------------------------------------------
@@ -444,20 +490,41 @@ def _parse_vector(text):
     return tuple(complex(part) for part in text.split(","))
 
 
-_MONOMIAL = re.compile(r"^(?:\((?P<cp>[^)]+)\)|(?P<c>[0-9.+\-ij]+))?\*?(?:z(?P<j>\d+)(?:\^(?P<e>\d+))?)?$")
+# an optional coefficient, parenthesized (a complex number as describe writes
+# it) or a real number with an optional exponent and i/j, then one monomial
+_MONOMIAL = re.compile(r"^(?:\((?P<cp>.+)\)"
+                       r"|(?P<c>(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+\-]?\d+)?)?[ij]?))"
+                       r"\*?(?:z(?P<j>\d+)(?:\^(?P<e>\d+))?)?$")
+_EXPONENT_SIGN = re.compile(r"[\d.][eE]$")  # a sign after this is an exponent's
+
+
+def _poly_terms(body):
+    """The terms of a polynomial string, each with its sign: the string is
+    cut before every + or - outside parentheses that is not the sign of an
+    exponent, as in 1e-09."""
+    terms, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        depth += (ch == "(") - (ch == ")")
+        if ch in "+-" and depth == 0 and not _EXPONENT_SIGN.search(body, 0, i):
+            terms.append(body[start:i])
+            start = i
+    terms.append(body[start:])
+    return terms
 
 
 def _parse_poly(body, n):
     terms = []
-    for raw in body.replace("-", "+-").split("+"):
+    for raw in _poly_terms(body):
         raw = raw.strip()
+        if raw.startswith("+"):
+            raw = raw[1:].strip()
         if not raw:
             continue
         neg = raw.startswith("-")
         if neg:
             raw = raw[1:]
         m = _MONOMIAL.match(raw)
-        if not m or (m.group("c") is None and m.group("cp") is None and m.group("j") is None):
+        if not m or not (m.group("c") or m.group("cp") or m.group("j")):
             raise FunctionError(f"cannot parse polynomial term {raw!r}")
         ctext = m.group("cp") or m.group("c")
         coeff = complex(ctext.replace("i", "j")) if ctext else 1.0

@@ -263,7 +263,7 @@ def _sphere_mc(fspec, ps, surface, r, cfg, seed):
 
 def _level_mc(fspec, ps, surface, eps, cfg, seed):
     """Level-set rule of the surface's method, restricted to U if given."""
-    g = lambda Z: _powers(np.abs(fn.evaluate(fspec, Z)), ps)
+    g = lambda Z: _powers(fn.level_abs(fspec, Z), ps)
     U, _ = _region(surface)
     centers = [np.asarray(c, dtype=complex) for c in fn.singular_points(fspec)]
     count = (cfg.thin_shell_proposals if surface.method == "thin-shell"

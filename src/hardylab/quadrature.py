@@ -106,11 +106,22 @@ def reduce_nodes(weights, vals, method, error=None):
 
 def inside_only(g, center, radius, complement=False):
     """g at the nodes inside the open ball {|Z - center| < radius} (outside it
-    with ``complement``), 0 at the others, where g is not evaluated."""
+    with ``complement``), 0 at the others, where g is not evaluated.  A node
+    is inside when its squared distance, summed in real arithmetic over the
+    coordinates, is below radius^2."""
     c = np.asarray(center, dtype=complex)
+    r2 = radius * radius
 
     def restricted(Z):
-        inside = (np.linalg.norm(Z - c, axis=-1) < radius) != complement
+        dist2 = np.zeros(Z.shape[:-1])
+        for j, cj in enumerate(c):
+            dx = Z.real[..., j] - cj.real
+            dy = Z.imag[..., j] - cj.imag
+            dx *= dx
+            dy *= dy
+            dx += dy
+            dist2 += dx
+        inside = (dist2 < r2) != complement
         vals = np.asarray(g(Z[inside]), dtype=float)
         out = np.zeros(vals.shape[:-1] + inside.shape)
         out[..., inside] = vals
@@ -238,6 +249,8 @@ ZONAL_RADIAL_PANELS = 40    # panel edges 1 - 2^-j
 ZONAL_RADIAL_NODES = 8
 ZONAL_ANGULAR_PANELS = 40   # panel edges pi * 2^-j, mirrored in sign
 ZONAL_ANGULAR_NODES = 8
+ZONAL_GRADED_CUT = 0.8      # cuts c below it grade the angular panels toward acos(c)
+ZONAL_CUT_EDGES = 8         # graded edges on each side, at 2^-j of its width
 
 
 # Gauss-Legendre nodes in (0, 1) and their weights, for the rule sizes the
@@ -285,27 +298,37 @@ def _geometric_edges(lo, hi, jmax):
 
 def _radial_interval(theta, c, complement):
     """Radial s-range of {s cos(theta) > c} (a cap) or of its complement
-    within [0, 1]."""
+    within [0, 1]: the cap is s > c / cos(theta) where cos(theta) > 0 and
+    s < c / cos(theta) where cos(theta) < 0."""
     ct = math.cos(theta)
-    if not complement:
-        if ct > 1e-15:
-            lo = max(0.0, c / ct)
-            return (lo, 1.0) if lo < 1.0 else None
-        return (0.0, 1.0) if c < 0.0 else None
-    # complement: s cos(theta) <= c
-    if ct > 1e-15:
-        hi = min(1.0, c / ct)
-        return (0.0, hi) if hi > 0.0 else None
-    return (0.0, 1.0) if c >= 0.0 else None
+    if abs(ct) <= 1e-15:  # s cos(theta) = 0: the cap is the whole ray or none
+        return (0.0, 1.0) if (c < 0.0) != complement else None
+    t = c / ct
+    if (ct > 0.0) != complement:  # s > t
+        lo = max(0.0, t)
+        return (lo, 1.0) if lo < 1.0 else None
+    hi = min(1.0, t)  # s < t
+    return (0.0, hi) if hi > 0.0 else None
 
 
 def _theta_nodes(c):
     """Angular nodes on panels with edges pi 2^-j, plus an edge at acos(c)
-    when the pairing threshold c cuts the disk."""
+    when the pairing threshold c cuts the disk.
+
+    Below c = ZONAL_GRADED_CUT the panels also refine geometrically toward
+    acos(c) from both sides, ZONAL_CUT_EDGES edges each: the radial limit
+    c / cos(theta) has its pole at pi/2, about |c| from the cut, and panels
+    wider than that distance converge slowly.  At and above it the rule is
+    unchanged."""
     edges = [0.0] + [np.pi * 2.0 ** (-j)
                      for j in range(ZONAL_ANGULAR_PANELS, -1, -1)]
     if -1.0 < c < 1.0:
-        edges = sorted(set(edges) | {math.acos(c)})
+        cut = math.acos(c)
+        edges.append(cut)
+        if c < ZONAL_GRADED_CUT:
+            steps = 2.0 ** -np.arange(1.0, ZONAL_CUT_EDGES + 1.0)
+            edges += [*(cut - cut * steps), *(cut + (np.pi - cut) * steps)]
+        edges = sorted(set(edges))
     return _nodes_on_panels(np.asarray(edges), ZONAL_ANGULAR_NODES)
 
 
@@ -363,6 +386,11 @@ def integrate_zonal(gt, n, c=-1.0, complement=False, even=False):
     The integral runs over {Re lam > c}, or its complement with
     ``complement``: the zonal images of a metric cap around zeta and of its
     complement.  The default c = -1 is the whole sphere.
+
+    The estimate's stderr is 0, but the value is not exact: against the
+    closed-form ball values (2F1), a zonal value is exact to about 1e-8
+    relative within k <= 29 of the radial grid 1 - 2^-k, and degrades past
+    k ~ 34, where the radial panels end at 2^-40.
 
     ``even`` promises that gt(conj(lam)) equals gt(lam) bit for bit.  The
     rule's second half is its first mirrored, lam -> conj(lam) with the same
@@ -667,7 +695,7 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
     det = float(np.prod(R ** 2))
 
     if singular_center is None:
-        pts_c = sample_sphere(n, count, seed, stream=0xA11)
+        pts_r = _unit_gaussians(rng_stream(seed, 0x5F, 0xA11), count, 2 * n)
         w = np.full(count, sphere_area(n) / count)
         strata = None
     else:
@@ -676,10 +704,15 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
         pts_r, w, strata = _sphere_nodes_stratified(
             2 * n, tuple(float(x) for x in to_real(zc)), count, seed,
             math.sqrt(eps))
-        pts_c = to_complex(pts_r)
-    jac = det * np.sqrt(np.sum(np.abs(pts_c) ** 2 / R ** 2, axis=-1))
+    # from the real rows (x_1, y_1, ..., x_n, y_n) of the sphere points:
+    # |T^-T x|^2 = sum_j (x_j^2 + y_j^2) / R_j^2, and the points R_j (x_j + i y_j)
+    # as a complex view of the rows scaled by (R_1, R_1, ..., R_n, R_n)
+    sq = pts_r * pts_r
+    jac = det * np.sqrt(sum((sq[:, 2 * j] + sq[:, 2 * j + 1]) / R[j] ** 2
+                            for j in range(n)))
+    points = (pts_r * np.repeat(R, 2)).view(complex)
     return SurfaceSampler(method="parametrized", count=len(w),
-                          points=pts_c * R, weights=w * jac, strata=strata)
+                          points=points, weights=w * jac, strata=strata)
 
 
 def shell_workers():

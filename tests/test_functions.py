@@ -224,6 +224,8 @@ class TestAlgebraAndParsing:
         "levipow:domain=warped:base=ellipsoid:a=1,2;u=x1;q=1.5;zeta=1,0",
         "levi:domain=rescaled:base=warped:base=ball:n=2;u=x1;c=0.5;zeta=1,0",
         "harmonic:n=3;y=1,0,0", "const:1", "poly:z1^2+3",
+        # a complex coefficient and an exponent: signs inside them split no term
+        "poly:((0.1+0.7j))*z1^2", "poly:1e-09*z1+1",
     ])
     def test_parse_describe_roundtrip(self, text):
         spec = fn.parse_function(text)

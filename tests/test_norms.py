@@ -75,6 +75,18 @@ class TestRadialIntegral:
         em = norms.radial_integral(f, 1.5, 0.9, mc_cfg)
         assert abs(ez.value - em.value) <= 3 * max(em.stderr, 1e-12)
 
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_complement_of_a_wide_cap_matches_forced_mc(self, seed):
+        # radius 1.9 cuts the zonal disk at Re lam = -0.805: a cut below 0
+        from dataclasses import replace
+        surface = norms.CapSurface(2, E1, 1.9, complement=True)
+        cfg = replace(CFG, seed=seed)
+        ez, _ = norms.point_integral(fn.Cauchy(E1), 2.0, surface, 0.5, cfg)
+        em, _ = norms.point_integral(fn.Cauchy(E1), 2.0, surface, 0.5,
+                                     replace(cfg, force_mc=True))
+        assert (ez.method, em.method) == ("zonal", "mc-cap")
+        assert abs(ez.value - em.value) <= 3 * em.stderr
+
     def test_validation(self):
         with pytest.raises(norms.NormError):
             norms.radial_integral(fn.Const(1.0, 2), 2.0, 1.0, CFG)

@@ -112,6 +112,32 @@ class TestZonal:
             got_lam, got_w = quad._zonal_nodes(n, c, complement)
             assert np.array_equal(got_lam, lam) and np.array_equal(got_w, w)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cut_measure_is_the_beta_law(self, n):
+        # sigma P(Re lam > c) = sigma I_{(1-c)/2}(a, a), a = (2n - 1)/2, for the
+        # cap, and I_{(1+c)/2} for its complement; below c = 0 the cap is the
+        # whole disk on the right half and s < c / cos(theta) on the left
+        a = (2 * n - 1) / 2.0
+        one = lambda lam: np.ones(lam.shape)
+        for c in np.linspace(-0.99, 0.99, 45):
+            for complement, x in ((False, (1 - c) / 2), (True, (1 + c) / 2)):
+                est = quad.integrate_zonal(one, n, c, complement)
+                exact = quad.sphere_area(n) * betainc(a, a, x)
+                assert est.value == pytest.approx(exact, rel=1e-12), (c, complement)
+
+    def test_cuts_from_the_grading_threshold_up_keep_their_panels(self):
+        # the rule every cap of radius 0.5 uses, c = 0.875, is not graded
+        theta, _ = quad._theta_nodes(0.875)
+        edges = [0.0] + [np.pi * 2.0 ** (-j)
+                         for j in range(quad.ZONAL_ANGULAR_PANELS, -1, -1)]
+        ungraded, _ = quad._nodes_on_panels(
+            np.asarray(sorted(set(edges) | {math.acos(0.875)})),
+            quad.ZONAL_ANGULAR_NODES)
+        assert np.array_equal(theta, ungraded)
+        graded, _ = quad._theta_nodes(quad.ZONAL_GRADED_CUT - 0.1)
+        extra = 2 * quad.ZONAL_CUT_EDGES * quad.ZONAL_ANGULAR_NODES
+        assert graded.size == theta.size + extra
+
 
 class TestCapMonteCarlo:
     def test_full_cap_recovers_sphere(self):

@@ -108,13 +108,15 @@ RESTRICTED = {
 def test_f_is_evaluated_only_inside_the_region(name, monkeypatch):
     fspec, p, surface, x, value, stderr, inside = RESTRICTED[name]
     seen = []
-    original = fn.evaluate
+    # level sets take |f| from level_abs, the sphere path from evaluate
+    hook = "level_abs" if isinstance(surface, norms.LevelSurface) else "evaluate"
+    original = getattr(fn, hook)
 
     def recorder(spec, Z):
         seen.append(np.array(Z))
         return original(spec, Z)
 
-    monkeypatch.setattr(fn, "evaluate", recorder)
+    monkeypatch.setattr(fn, hook, recorder)
     est, flag = norms.point_integral(fspec, p, surface, x, MC, k=3)
     nodes = np.concatenate(seen)
     assert 0 < len(nodes) < est.count
