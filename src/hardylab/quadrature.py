@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import box_halfwidths, grad_norm, rng_stream, to_complex, to_real
 
 OVERFLOW_LIMIT = 1e300
-MIN_COUNT = 100  # fewest nodes a sphere Monte Carlo rule, or --count, takes
+MIN_COUNT = 100  # fewest nodes a Monte Carlo rule, or --count, takes
 SHELL_CHUNK_ROWS = 65_536  # thin-shell proposals evaluated per step
 SHELL_EPS_DIVISOR = 10.0   # thin-shell half-width h = eps / 10
 SHELL_SCREEN_MARGIN = 1e-12  # screen slack, relative to the uncancelled |rho|
@@ -191,12 +191,22 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
     nu = int(uniform_mask.sum())
     if nu:
         pts[uniform_mask] = _unit_gaussians(rng, nu, d)
+    # center by center and band by band, each band's uniforms and then its
+    # tangential directions; then one CDF inversion for all the bands
+    sizes = np.bincount(comp, minlength=2 * J * M)[:J * M].reshape(J, M)
+    drawn, uniforms, tangents = [], [], []
     for j in range(J):
-        for m in range(M):
-            sel = comp == j * M + m
-            ns = int(sel.sum())
-            if ns:
-                pts[sel] = _band_points(xs[j], bands[m], ns, rng)
+        basis = _complement_basis(xs[j]).T
+        for m in np.flatnonzero(sizes[j]):
+            drawn.append(bands[m])
+            uniforms.append(rng.random(sizes[j, m]))
+            tangents.append(_unit_gaussians(rng, sizes[j, m], d - 1) @ basis)
+    if drawn:
+        t = 2.0 * _band_quantiles(a, drawn, uniforms) - 1.0
+        xc = np.repeat(np.array(xs), sizes.sum(axis=1), axis=0)
+        # the banded nodes, in the order of comp and then of index
+        banded = np.argsort(comp, kind="stable")[:count - nu]
+        pts[banded] = _cone_points(xc, t, np.concatenate(tangents))
 
     # mixture density relative to the uniform one
     boost = np.full(count, 0.5)
@@ -219,6 +229,8 @@ def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False)
     measure enters exactly.  With complement=True, integrates over the rest
     of the sphere instead.
     """
+    if count < MIN_COUNT:
+        raise QuadratureError(f"count must be >= {MIN_COUNT}")
     if radius <= 0:
         raise QuadratureError("empty cap")
     c = 1.0 - radius ** 2 / 2.0  # chordal radius -> cosine threshold
@@ -251,6 +263,12 @@ ZONAL_ANGULAR_PANELS = 40   # panel edges pi * 2^-j, mirrored in sign
 ZONAL_ANGULAR_NODES = 8
 ZONAL_GRADED_CUT = 0.8      # cuts c below it grade the angular panels toward acos(c)
 ZONAL_CUT_EDGES = 8         # graded edges on each side, at 2^-j of its width
+# Angles per array step of a disk-rule build, about 3 ms for the whole disk.
+# One step over all ~330 angles is 1 ms faster but frees about 10 MB of
+# temporaries at once, after which the later ball-zonal commands of a
+# process take more minor page faults (seed 7: lemma 2.5 0.7k instead of
+# 0.1-0.3k, the Cauchy scan 114 instead of 18).
+ZONAL_BUILD_BLOCK = 16
 
 
 # Gauss-Legendre nodes in (0, 1) and their weights, for the rule sizes the
@@ -278,37 +296,52 @@ def _gl(m):
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def _nodes_on_panels(edges, m):
-    edges = np.asarray(edges, dtype=float)
+def _panel_nodes(a, b, m):
+    """m Gauss-Legendre nodes and weights on each panel [a_i, b_i], flattened
+    panel by panel."""
     xg, wg = _gl(m)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
+    a = a[:, None]
+    b = b[:, None]
     x = 0.5 * (a + b) + 0.5 * (b - a) * xg[None, :]
     w = 0.5 * (b - a) * np.broadcast_to(wg, x.shape)
     return x.ravel(), w.ravel()
 
 
+def _nodes_on_panels(edges, m):
+    edges = np.asarray(edges, dtype=float)
+    return _panel_nodes(edges[:-1], edges[1:], m)
+
+
+def _geometric_points(lo, jmax):
+    """The points 1 - 2^-j, j = 1..jmax, mapped onto [lo, 1], ascending; one
+    row per entry of an array ``lo``."""
+    base = 1.0 - 2.0 ** (-np.arange(1, jmax + 1))
+    return 1.0 - (1.0 - np.asarray(lo)[..., None]) * (1.0 - base)
+
+
 def _geometric_edges(lo, hi, jmax):
     """Panel edges on [lo, hi] refining geometrically toward 1."""
-    base = 1.0 - 2.0 ** (-np.arange(1, jmax + 1))
-    pts = 1.0 - (1.0 - lo) * (1.0 - base)  # maps 1-2^-j onto [lo, 1]
+    pts = _geometric_points(lo, jmax)
     pts = pts[(pts > lo) & (pts < hi)]
     return np.concatenate([[lo], np.sort(pts), [hi]])
 
 
-def _radial_interval(theta, c, complement):
-    """Radial s-range of {s cos(theta) > c} (a cap) or of its complement
-    within [0, 1]: the cap is s > c / cos(theta) where cos(theta) > 0 and
-    s < c / cos(theta) where cos(theta) < 0."""
-    ct = math.cos(theta)
-    if abs(ct) <= 1e-15:  # s cos(theta) = 0: the cap is the whole ray or none
-        return (0.0, 1.0) if (c < 0.0) != complement else None
-    t = c / ct
-    if (ct > 0.0) != complement:  # s > t
-        lo = max(0.0, t)
-        return (lo, 1.0) if lo < 1.0 else None
-    hi = min(1.0, t)  # s < t
-    return (0.0, hi) if hi > 0.0 else None
+def _radial_limits(theta, c, complement):
+    """Radial s-ranges [lo, hi] of {s cos(theta) > c} (a cap) or of its
+    complement within [0, 1], one per angle, and whether each is non-empty:
+    the cap is s > c / cos(theta) where cos(theta) > 0 and s < c / cos(theta)
+    where cos(theta) < 0.  An angle with |cos(theta)| <= 1e-15 has
+    s cos(theta) = 0, so its cap is the whole ray or none."""
+    ct = np.fromiter(map(math.cos, theta), float, len(theta))  # libm, as scalars
+    flat = np.abs(ct) <= 1e-15
+    above = (ct > 0.0) != complement  # s > t; else s < t
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat angles skip t
+        t = c / ct
+        lo = np.where(above & ~flat, np.maximum(t, 0.0), 0.0)
+        hi = np.where(above | flat, 1.0, np.minimum(t, 1.0))
+    keep = np.where(flat, (c < 0.0) != complement,
+                    np.where(above, lo < 1.0, hi > 0.0))
+    return lo, hi, keep
 
 
 def _theta_nodes(c):
@@ -338,32 +371,80 @@ def _radial_nodes(lo, hi):
                             ZONAL_RADIAL_NODES)
 
 
+def _half_disk(n, c, complement):
+    """The upper half-disk rule of {Re lam > c}, or of its complement, before
+    calibration: at each angle theta in (0, pi) the radial nodes s on that
+    angle's range, panels refining toward s = 1, with lam = s e^{i theta}
+    and weight w_theta w_s s (1 - s^2)^{n-2}; angle by angle, ascending.
+
+    The angles are taken ZONAL_BUILD_BLOCK at a time as arrays.  An angle's
+    panel edges are its range's ends with the geometric points strictly
+    inside, which ascend already, and every node and weight comes from the
+    same elementwise operations, in the same order, as a build of that angle
+    alone."""
+    theta, wtheta = _theta_nodes(c)
+    lo, hi, keep = _radial_limits(theta, c, complement)
+    theta, wtheta, lo, hi = theta[keep], wtheta[keep], lo[keep], hi[keep]
+    lam_parts, w_parts = [np.zeros(0, dtype=complex)], [np.zeros(0)]
+    for i in range(0, theta.size, ZONAL_BUILD_BLOCK):
+        blk = slice(i, i + ZONAL_BUILD_BLOCK)
+        pts = _geometric_points(lo[blk], ZONAL_RADIAL_PANELS)
+        inner = (pts > lo[blk, None]) & (pts < hi[blk, None])
+        ends = np.ones((inner.shape[0], 1), dtype=bool)
+        # panel i of an angle runs from its i-th lower to its i-th upper edge
+        a = np.concatenate([lo[blk, None], pts], axis=1)[np.hstack([ends, inner])]
+        b = np.concatenate([pts, hi[blk, None]], axis=1)[np.hstack([inner, ends])]
+        s, ws = _panel_nodes(a, b, ZONAL_RADIAL_NODES)
+        nodes = ZONAL_RADIAL_NODES * (inner.sum(axis=1) + 1)
+        w_parts.append(np.repeat(wtheta[blk], nodes) * ws * s
+                       * (1.0 - s ** 2) ** (n - 2))
+        lam_parts.append(s * np.repeat(np.exp(1j * theta[blk]), nodes))
+    return np.concatenate(lam_parts), np.concatenate(w_parts)
+
+
 @lru_cache(maxsize=64)
-def _zonal_nodes(n, c, complement):
-    """Flattened (lam, weight) arrays of the disk region {Re lam > c}, or of
-    its complement; weights calibrated against sigma(S^{2n-1})."""
+def _zonal_fold(n, c, complement):
+    """The cached zonal rule of {Re lam > c}, or of its complement, in the
+    form a conjugation-even integrand reads: the half-disk nodes and their
+    doubled weights, calibrated against sigma(S^{2n-1}).  Read-only."""
     if n < 2:
         raise QuadratureError("zonal path requires n >= 2")
-    theta, wtheta = _theta_nodes(c)
-
-    lam_parts, w_parts = [], []
-    for th, wt in zip(theta, wtheta):
-        interval = _radial_interval(th, c, complement)
-        if interval is None:
-            continue
-        s, ws = _radial_nodes(*interval)
-        w = wt * ws * s * (1.0 - s ** 2) ** (n - 2)
-        lam_parts.append(s * np.exp(1j * th))
-        w_parts.append(w)
-    if not lam_parts:
-        return np.zeros(0, dtype=complex), np.zeros(0)
-    lam = np.concatenate(lam_parts)
-    w = np.concatenate(w_parts)
-    # mirror theta -> -theta
-    lam = np.concatenate([lam, np.conj(lam)])
-    w = np.concatenate([w, w])
-    w = w * _zonal_calibration(n)
+    lam, w = _half_disk(n, c, complement)
+    w = 2.0 * (w * _zonal_calibration(n))
+    _keep_freed_heap(64 * lam.size)  # twice the full rule's complex nodes
+    lam.flags.writeable = False
+    w.flags.writeable = False
     return lam, w
+
+
+def _keep_freed_heap(nbytes):
+    """Keep glibc from handing the heap that a zonal integral's temporaries
+    occupy (about 5 MB on the whole-disk rule) back to the system after each
+    integral, so that the next one does not fault those pages in anew.
+    glibc trims the top of the heap once more than twice the largest block
+    it has unmapped lies free there; mapping and freeing one untouched block
+    of ``nbytes`` raises that limit and touches no page.  Without it,
+    lemma 2.2 takes 64k minor faults on seed 7; with it, 2.8k."""
+    np.empty(nbytes, dtype=np.uint8)
+
+
+def _unfold(lam, w2):
+    """The full rule of a fold: the half-disk nodes, then their mirror
+    theta -> -theta, each with half the doubled weight (exactly)."""
+    w = 0.5 * w2
+    return np.concatenate([lam, np.conj(lam)]), np.concatenate([w, w])
+
+
+def _zonal_nodes(n, c, complement):
+    """Flattened (lam, weight) arrays of the disk region {Re lam > c}, or of
+    its complement, weights calibrated against sigma(S^{2n-1}): the half-disk
+    rule of ``_half_disk`` followed by its mirror lam -> conj(lam) with the
+    same weights.  Rebuilt on each call from the cached fold."""
+    return _unfold(*_zonal_fold(n, c, complement))
+
+
+# the counters of the one zonal rule cache, under the name the benchmark reads
+_zonal_nodes.cache_info = _zonal_fold.cache_info
 
 
 @lru_cache(maxsize=16)
@@ -401,15 +482,19 @@ def integrate_zonal(gt, n, c=-1.0, complement=False, even=False):
     twice the sum of one half.  Only a product of weight and value below the
     normal range (2^-1022) could round differently when doubled.  The
     estimate reports the full rule's node count.
+
+    The rule cache holds that folded form (``_zonal_fold``): an even gt reads
+    the cached arrays as they are, and any other gt gets the full rule
+    rebuilt from them on each call (``_unfold``), the same bit for bit.
     """
-    lam, w = _zonal_nodes(n, float(c), complement)
+    lam, w = _zonal_fold(n, float(c), complement)
     if not even:
+        lam, w = _unfold(lam, w)
         return reduce_nodes(w, gt(lam), "zonal")
-    half = lam.size // 2
-    est = reduce_nodes(2.0 * w[:half], gt(lam[:half]), "zonal")
+    est = reduce_nodes(w, gt(lam), "zonal")
     if isinstance(est, IntegralEstimate):
-        return replace(est, count=lam.size)
-    return [replace(e, count=lam.size) for e in est]
+        return replace(est, count=2 * lam.size)
+    return [replace(e, count=2 * lam.size) for e in est]
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +673,7 @@ def _band_cdf(a, u1, u2):
     return lo, hi, upper
 
 
-def _symmetric_betaincinv(a, y):
+def _symmetric_betaincinv(a, y, sizes=None):
     """x with I_x(a, a) = y, for half-integer a = m + 1/2.
 
     With x = sin^2(phi/2), I_x(a, a) = S_m(phi) / S_m(pi), S_m(phi) the
@@ -596,31 +681,63 @@ def _symmetric_betaincinv(a, y):
     runs on min(y, 1 - y), whose root lies in [0, pi/2] where S_m is convex:
     Newton from the power-law start phi^{2m+1} / (2m + 1) = S_m(phi) lands
     above the root and then falls to it monotonically.
+
+    ``sizes`` splits the flattened y into consecutive non-empty bands (None:
+    one band) that take their Newton steps together, as one array.  A band
+    stops at the first step after which every one of its own targets has
+    converged, so its roots are those of a solve of that band alone, bit for
+    bit: every operation of the step is elementwise.
     """
     m = _sin_power_order(a)
     s_pi, coeffs = _sin_power_series(m)
     y = np.asarray(y, dtype=float)
     upper = y > 0.5
-    t = np.where(upper, 1.0 - y, y) * s_pi
+    t = (np.where(upper, 1.0 - y, y) * s_pi).ravel()
     phi = np.minimum(((2 * m + 1) * t) ** (1.0 / (2 * m + 1)), np.pi / 2)
-    for _ in range(NEWTON_MAX_STEPS):
+    sizes = np.array([t.size] if sizes is None else sizes)
+    # once some bands have stopped: root holds every target's phi, live the
+    # places of the targets still stepping, in phi's order
+    root = live = None
+    for _ in range(NEWTON_MAX_STEPS if t.size else 0):
         S, dS = _sin_power_integral(phi, m, coeffs)
         step = np.divide(S - t, dS, out=np.zeros_like(phi), where=dS > 0)
         phi = np.clip(phi - step, phi / 2, np.pi / 2)
-        if np.all(np.abs(step) <= NEWTON_RTOL * phi):
+        done = np.logical_and.reduceat(np.abs(step) <= NEWTON_RTOL * phi,
+                                       np.cumsum(sizes) - sizes)
+        if done.all():
             break
-    half = np.sin(phi / 2) ** 2
+        if done.any():
+            go = np.repeat(~done, sizes)
+            if root is None:
+                root, live = phi, np.flatnonzero(go)
+            else:
+                root[live] = phi
+                live = live[go]
+            phi, t, sizes = phi[go], t[go], sizes[~done]
+    if root is not None:
+        root[live] = phi
+        phi = root
+    half = np.sin(phi.reshape(y.shape) / 2) ** 2
     return np.where(upper, 1.0 - half, half)
 
 
 def _band_draws(a, band, count, rng):
     """``count`` draws of the Beta(a, a) law truncated to one band, given as
     its (lo, hi, upper) from ``_band_cdf``, by inverting the CDF."""
-    lo, hi, upper = band
-    v = lo + rng.random(count) * (hi - lo)
-    if upper:
-        return 1.0 - _symmetric_betaincinv(a, np.maximum(v, 1e-300))
-    return _symmetric_betaincinv(a, v)
+    return _band_quantiles(a, [band], [rng.random(count)])
+
+
+def _band_quantiles(a, bands, uniforms):
+    """Draws of the Beta(a, a) law truncated to each of ``bands``, given as
+    their (lo, hi, upper) from ``_band_cdf``, at the band's array of
+    ``uniforms`` in [0, 1); concatenated band by band, each band non-empty.
+    One CDF inversion serves every band, a band in its upper tail solved
+    from u = 1."""
+    sizes = [u.size for u in uniforms]
+    lo, hi, upper = (np.repeat(np.asarray(col), sizes) for col in zip(*bands))
+    v = lo + np.concatenate(uniforms) * (hi - lo)
+    x = _symmetric_betaincinv(a, np.where(upper, np.maximum(v, 1e-300), v), sizes)
+    return np.where(upper, 1.0 - x, x)
 
 
 MAX_RINGS = 26  # ring strata (chordal radii 2^{1-m}) around a sphere point
@@ -642,7 +759,13 @@ def _band_points(xc, band, count, rng):
     d = xc.size
     t = 2.0 * _band_draws((d - 1) / 2.0, band, count, rng) - 1.0
     v = _unit_gaussians(rng, count, d - 1) @ _complement_basis(xc).T
-    return t[:, None] * xc[None, :] + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
+    return _cone_points(xc, t, v)
+
+
+def _cone_points(xc, t, v):
+    """The sphere points t xc + sqrt(1 - t^2) v, row by row, for unit vectors
+    v orthogonal to xc; xc is one vector or one per row."""
+    return t[:, None] * xc + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
 
 
 @lru_cache(maxsize=32)
@@ -689,6 +812,8 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
     With ``singular_center`` (a boundary point), nodes are stratified into
     geometric rings around its preimage to tame integrands singular there.
     """
+    if count < MIN_COUNT:
+        raise QuadratureError(f"count must be >= {MIN_COUNT}")
     a = np.asarray(weights, dtype=float)
     n = a.size
     R = np.sqrt((1.0 - eps) / a)
