@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import geometry
 from .geometry import box_halfwidths, grad_norm, rng_stream, to_complex, to_real
 
 OVERFLOW_LIMIT = 1e300
@@ -134,9 +135,9 @@ def inside_only(g, center, radius, complement=False):
 # Monte Carlo on the unit sphere of C^n
 # ---------------------------------------------------------------------------
 
-def sample_sphere(n, count, seed, stream=0):
+def sample_sphere(n, count, seed):
     """Uniform points on the unit sphere of C^n via normalized Gaussians."""
-    return to_complex(_unit_gaussians(rng_stream(seed, 0x5F, stream), count, 2 * n))
+    return to_complex(_unit_gaussians(rng_stream(seed, 0x5F, 0), count, 2 * n))
 
 
 def _unit_gaussians(rng, count, d):
@@ -170,18 +171,8 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
     if not centers:
         return integrate_sphere(g, n, count, seed)
     d = 2 * n
-    a = (d - 1) / 2.0
     xs = [to_real(c / np.linalg.norm(c)) for c in centers]
-    t_edges = _ring_t_edges(depth_scale)
-    u_edges = (1.0 + t_edges) / 2.0
-    lo, hi, upper = _band_cdf(a, u_edges[:-1], u_edges[1:])
-    fracs = hi - lo
-    keep = fracs > 1e-300
-    fracs = fracs[keep]
-    bands = list(zip(lo[keep], hi[keep], upper[keep]))
-    u_lo = u_edges[:-1][keep]
-    u_hi = u_edges[1:][keep]
-    t_sorted_edges = np.concatenate([u_lo, [u_hi[-1]]]) * 2.0 - 1.0
+    _, bands, fracs, t_edges = _ring_bands((d - 1) / 2.0, _ring_t_edges(depth_scale))
     J, M = len(centers), len(fracs)
 
     rng = rng_stream(seed, 0x1B0, 0)
@@ -191,29 +182,22 @@ def integrate_sphere_importance(g, n, centers, depth_scale, count=100_000, seed=
     nu = int(uniform_mask.sum())
     if nu:
         pts[uniform_mask] = _unit_gaussians(rng, nu, d)
-    # center by center and band by band, each band's uniforms and then its
-    # tangential directions; then one CDF inversion for all the bands
-    sizes = np.bincount(comp, minlength=2 * J * M)[:J * M].reshape(J, M)
-    drawn, uniforms, tangents = [], [], []
-    for j in range(J):
-        basis = _complement_basis(xs[j]).T
-        for m in np.flatnonzero(sizes[j]):
-            drawn.append(bands[m])
-            uniforms.append(rng.random(sizes[j, m]))
-            tangents.append(_unit_gaussians(rng, sizes[j, m], d - 1) @ basis)
-    if drawn:
-        t = 2.0 * _band_quantiles(a, drawn, uniforms) - 1.0
-        xc = np.repeat(np.array(xs), sizes.sum(axis=1), axis=0)
-        # the banded nodes, in the order of comp and then of index
+    # the drawn (center, band) cells, center by center, and their nodes in
+    # the order of comp and then of index
+    sizes = np.bincount(comp, minlength=2 * J * M)[:J * M]
+    cells = np.flatnonzero(sizes)
+    if cells.size:
         banded = np.argsort(comp, kind="stable")[:count - nu]
-        pts[banded] = _cone_points(xc, t, np.concatenate(tangents))
+        pts[banded] = _band_points([xs[k // M] for k in cells],
+                                   [bands[k % M] for k in cells], sizes[cells],
+                                   [rng] * cells.size)
 
     # mixture density relative to the uniform one
     boost = np.full(count, 0.5)
     for j in range(J):
         tj = pts @ xs[j]
-        band = np.clip(np.searchsorted(t_sorted_edges, tj, side="right") - 1, 0, M - 1)
-        in_range = (tj >= t_sorted_edges[0]) & (tj <= t_sorted_edges[-1])
+        band = np.clip(np.searchsorted(t_edges, tj, side="right") - 1, 0, M - 1)
+        in_range = (tj >= t_edges[0]) & (tj <= t_edges[-1])
         contrib = np.where(in_range, 1.0 / fracs[band], 0.0)
         boost += 0.5 * contrib / (J * M)
 
@@ -242,7 +226,7 @@ def integrate_cap(g, center, radius, n, count=100_000, seed=7, complement=False)
         return IntegralEstimate(0.0, 0.0, 0, "exact-empty")
     center = np.asarray(center, dtype=complex)
     xc = to_real(center / np.linalg.norm(center))
-    x = _band_points(xc, band, count, rng_stream(seed, 0xCA9, 0))
+    x = _band_points([xc], [band], [count], [rng_stream(seed, 0xCA9, 0)])
     return reduce_nodes(sphere_area(n) * frac, g(to_complex(x)), "mc-cap", "iid")
 
 
@@ -571,11 +555,15 @@ class SurfaceSampler:
     """
 
     method: str
-    count: int
     points: np.ndarray
     weights: np.ndarray
     strata: tuple = None
     proposals: int = None
+
+    @property
+    def count(self):
+        """The rule's node count."""
+        return len(self.weights)
 
     def integrate(self, g):
         error = self.proposals
@@ -629,18 +617,21 @@ def _sin_power_integral(phi, m, coeffs):
     / (2k) from S_0 = phi; below it the Taylor series, since the reduction
     cancels to about phi^2 per step there.
     """
-    s, c = np.sin(phi), np.cos(phi)
-    sc, s2 = s * c, s * s
+    s2 = np.sin(phi)
+    sc = s2 * np.cos(phi)
+    s2 *= s2
     red, power = phi, np.ones_like(phi)  # S_0 and sin^0
     for k in range(1, m + 1):
         red = ((2 * k - 1) * red - power * sc) / (2 * k)
-        power = power * s2
+        power *= s2
     x2 = phi * phi
     poly = np.full_like(phi, coeffs[-1])
     for cj in coeffs[-2::-1]:
-        poly = poly * x2 + cj
-    taylor = phi * x2 ** m * poly
-    return np.where(phi < BAND_TAYLOR_PHI, taylor, red), power
+        poly *= x2
+        poly += cj
+    x2 **= m
+    poly *= phi * x2  # the Taylor value phi^{2m+1} sum_j c_j phi^{2j}
+    return np.where(phi < BAND_TAYLOR_PHI, poly, red), power
 
 
 def _sin_power_order(a):
@@ -721,12 +712,6 @@ def _symmetric_betaincinv(a, y, sizes=None):
     return np.where(upper, 1.0 - half, half)
 
 
-def _band_draws(a, band, count, rng):
-    """``count`` draws of the Beta(a, a) law truncated to one band, given as
-    its (lo, hi, upper) from ``_band_cdf``, by inverting the CDF."""
-    return _band_quantiles(a, [band], [rng.random(count)])
-
-
 def _band_quantiles(a, bands, uniforms):
     """Draws of the Beta(a, a) law truncated to each of ``bands``, given as
     their (lo, hi, upper) from ``_band_cdf``, at the band's array of
@@ -751,21 +736,38 @@ def _ring_t_edges(d_star):
     return np.concatenate([t, [1.0]])
 
 
-def _band_points(xc, band, count, rng):
-    """``count`` uniform points of S^{d-1} whose cosine t to the unit vector xc
-    has (1 + t) / 2 in ``band``, given as its (lo, hi, upper) from
-    ``_band_cdf``: the cosine by truncated Beta inversion, then a uniform
-    tangential direction, both drawn from ``rng`` in that order."""
-    d = xc.size
-    t = 2.0 * _band_draws((d - 1) / 2.0, band, count, rng) - 1.0
-    v = _unit_gaussians(rng, count, d - 1) @ _complement_basis(xc).T
-    return _cone_points(xc, t, v)
+def _ring_bands(a, t_edges):
+    """The ring-band table of the Beta(a, a) law on the rings of ``t_edges``
+    (from ``_ring_t_edges``), without the bands of mass at most 1e-300: each
+    kept band's index among the rings, its (lo, hi, upper) from
+    ``_band_cdf`` and its mass, and the cosine edges of the kept bands."""
+    u = (1.0 + t_edges) / 2.0
+    lo, hi, upper = _band_cdf(a, u[:-1], u[1:])
+    keep = np.flatnonzero(hi - lo > 1e-300)
+    edges = np.concatenate([u[:-1][keep], [u[1:][keep][-1]]]) * 2.0 - 1.0
+    return keep, list(zip(lo[keep], hi[keep], upper[keep])), (hi - lo)[keep], edges
 
 
-def _cone_points(xc, t, v):
-    """The sphere points t xc + sqrt(1 - t^2) v, row by row, for unit vectors
-    v orthogonal to xc; xc is one vector or one per row."""
-    return t[:, None] * xc + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * v
+def _band_points(xcs, bands, sizes, rngs):
+    """Uniform points of S^{d-1} in cosine bands, concatenated band by band:
+    sizes[i] > 0 points whose cosine t to the unit vector xcs[i] has
+    (1 + t) / 2 in bands[i], a (lo, hi, upper) from ``_band_cdf``.  Band i
+    draws its uniforms, then its tangential directions v, from rngs[i]
+    (bands may share a stream); one Beta inversion serves every band, and
+    a point is t xc + sqrt(1 - t^2) v, formed in place over the v."""
+    d = len(xcs[0])
+    ends = np.cumsum(sizes)
+    pts = np.empty((ends[-1], d))
+    uniforms = []
+    for xc, size, end, rng in zip(xcs, sizes, ends, rngs):
+        uniforms.append(rng.random(size))
+        np.matmul(_unit_gaussians(rng, size, d - 1), _complement_basis(xc).T,
+                  out=pts[end - size:end])
+    t = 2.0 * _band_quantiles((d - 1) / 2.0, bands, uniforms) - 1.0
+    pts *= np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None]
+    for xc, size, end in zip(xcs, sizes, ends):
+        pts[end - size:end] += t[end - size:end, None] * xc
+    return pts
 
 
 @lru_cache(maxsize=32)
@@ -773,35 +775,26 @@ def _sphere_nodes_stratified(d, center, count, seed, d_star):
     """Stratified uniform nodes on S^{d-1}: geometric rings around ``center``
     (a tuple of floats, so that the rule can be cached on its full input).
 
-    Returns (points (m, d), measure weights (m,), strata slices).  Each stratum
-    is sampled uniformly with respect to surface measure, so the estimator is
-    unbiased stratum by stratum.  The arrays are shared by every caller with
-    the same input and are read-only.
+    Returns (points (m, d), measure weights (m,), strata slices).  Each of the
+    n_strata rings of ``_ring_t_edges(d_star)`` is a stratum of
+    max(count // n_strata, 16) nodes, drawn from stream (seed, 0x57A7, i) for
+    ring i, so the rule has n_strata * max(count // n_strata, 16) nodes, not
+    ``count`` (a ring of Beta mass at most 1e-300 would be left out; none is
+    for d <= 40).  Each stratum is sampled uniformly with respect to surface
+    measure, so the estimator is unbiased stratum by stratum.  The arrays are
+    shared by every caller with the same input and are read-only.
     """
-    center = np.asarray(center, dtype=float)
-    a = (d - 1) / 2.0
     t_edges = _ring_t_edges(d_star)
-    u_edges = (1.0 + t_edges) / 2.0
     n_strata = len(t_edges) - 1
     per = max(count // n_strata, 16)
-    total_area = sphere_area_real(d)
-
-    lo, hi, upper = _band_cdf(a, u_edges[:-1], u_edges[1:])
-    pts, wts, slices = [], [], []
-    start = 0
-    for i in range(n_strata):
-        frac = hi[i] - lo[i]
-        if frac <= 0.0:
-            continue
-        pts.append(_band_points(center, (lo[i], hi[i], upper[i]), per,
-                                rng_stream(seed, 0x57A7, i)))
-        wts.append(np.full(per, total_area * frac / per))
-        slices.append(slice(start, start + per))
-        start += per
-    pts, wts = np.concatenate(pts), np.concatenate(wts)
+    index, bands, fracs, _ = _ring_bands((d - 1) / 2.0, t_edges)
+    k = len(bands)
+    wts = np.repeat(sphere_area_real(d) * fracs / per, per)
+    pts = _band_points([np.asarray(center, dtype=float)] * k, bands, [per] * k,
+                       [rng_stream(seed, 0x57A7, i) for i in index])
     pts.flags.writeable = False
     wts.flags.writeable = False
-    return pts, wts, tuple(slices)
+    return pts, wts, tuple(slice(i * per, (i + 1) * per) for i in range(k))
 
 
 def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
@@ -810,7 +803,9 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
     The image of a sphere point x under the diagonal map T with coordinate
     scales R_j = sqrt((1-eps)/a_j) carries surface weight |det T| |T^-T x|.
     With ``singular_center`` (a boundary point), nodes are stratified into
-    geometric rings around its preimage to tame integrands singular there.
+    geometric rings around its preimage to tame integrands singular there,
+    and the rule has n_strata * max(count // n_strata, 16) nodes for its
+    n_strata rings (``_sphere_nodes_stratified``); without it, ``count``.
     """
     if count < MIN_COUNT:
         raise QuadratureError(f"count must be >= {MIN_COUNT}")
@@ -836,8 +831,8 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
     jac = det * np.sqrt(sum((sq[:, 2 * j] + sq[:, 2 * j + 1]) / R[j] ** 2
                             for j in range(n)))
     points = (pts_r * np.repeat(R, 2)).view(complex)
-    return SurfaceSampler(method="parametrized", count=len(w),
-                          points=points, weights=w * jac, strata=strata)
+    return SurfaceSampler(method="parametrized", points=points, weights=w * jac,
+                          strata=strata)
 
 
 def shell_workers():
@@ -1001,8 +996,8 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
         raise QuadratureError("shell not hit")
     pts = np.concatenate([r[0] for r in results])
     w = np.concatenate([r[1] for r in results])
-    return SurfaceSampler(method="thin-shell", count=len(w), points=pts,
-                          weights=w, proposals=proposals)
+    return SurfaceSampler(method="thin-shell", points=pts, weights=w,
+                          proposals=proposals)
 
 
 def integrate_level_set(g, domain, eps, method="parametrized", count=100_000,
@@ -1013,8 +1008,7 @@ def integrate_level_set(g, domain, eps, method="parametrized", count=100_000,
     {|Z - center| < radius}, the open set U of local Hardy norms: g sees only
     the nodes inside it, and the thin-shell proposal box shrinks to it.
     """
-    from .geometry import level_set_sampler  # sampler construction is geometric
-
-    sampler = level_set_sampler(domain, eps, method=method, count=count, seed=seed,
-                                singular_center=singular_center, within=within)
+    sampler = geometry.level_set_sampler(
+        domain, eps, method=method, count=count, seed=seed,
+        singular_center=singular_center, within=within)
     return sampler.integrate(g if within is None else inside_only(g, *within))

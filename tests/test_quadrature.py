@@ -209,11 +209,31 @@ def _band_targets(seed):
 
 
 class _EdgeDraws:
-    """A stand-in generator whose uniform draws include both ends of [0, 1)."""
+    """A stand-in generator whose uniform draws include both ends of [0, 1);
+    its normal draws are all 1."""
 
     def random(self, count):
         return np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
                                np.linspace(0.0, 1.0, count - 4, endpoint=False)])
+
+    def standard_normal(self, shape):
+        return np.ones(shape)
+
+
+def _band_points_draws(a, band, count, rng, monkeypatch):
+    """The Beta draws that ``_band_points`` makes for one band around a pole
+    of S^{2a}, as ``_band_quantiles`` returns them."""
+    seen = []
+    quantiles = quad._band_quantiles
+
+    def spy(*args):
+        seen.append(quantiles(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quad, "_band_quantiles", spy)
+        quad._band_points([np.eye(int(2 * a) + 1)[0]], [band], [count], [rng])
+    return seen[0]
 
 
 class TestBandInverse:
@@ -237,19 +257,22 @@ class TestBandInverse:
                                    np.sin(np.pi * y / 2.0) ** 2, rtol=1e-14)
 
     @pytest.mark.parametrize("a", [1.5, 2.5, 3.5])
-    def test_ring_band_draws_stay_in_their_band(self, a):
+    def test_ring_band_draws_stay_in_their_band(self, a, monkeypatch):
         u = (1.0 + quad._ring_t_edges(1e-9)) / 2.0  # the finest ring scale
         assert len(u) == quad.MAX_RINGS + 2
         assert u[1] >= 0.5 > u[0]  # band 0 takes the head branch, the rest the tail
         for i in range(len(u) - 1):
             for rng in (_EdgeDraws(), geo.rng_stream(3, i)):
-                x = quad._band_draws(a, quad._band_cdf(a, u[i], u[i + 1]), 10_000, rng)
+                x = _band_points_draws(a, quad._band_cdf(a, u[i], u[i + 1]),
+                                       10_000, rng, monkeypatch)
                 assert np.all((x >= u[i]) & (x <= u[i + 1])), i
 
     def test_integer_parameter_is_refused(self):
+        # S^4 has a = 2; the band's CDF values are given, since _band_cdf
+        # refuses a = 2 itself
         with pytest.raises(quad.QuadratureError):
-            quad._band_draws(2.0, quad._band_cdf(2.0, 0.2, 0.4), 100,
-                            geo.rng_stream(3, 0))
+            quad._band_points([np.eye(5)[0]], [(0.2, 0.4, False)], [100],
+                              [geo.rng_stream(3, 0)])
 
 
 class TestStratifiedLevel:

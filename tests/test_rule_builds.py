@@ -1,7 +1,9 @@
 """The rule builders work on whole arrays and give the rules of the
 one-at-a-time constructions they replace, bit for bit: the zonal disk rule
-against its angle-by-angle build, the cached fold against the full rule, and
-the joint Beta-band inversion against one solve per band."""
+against its angle-by-angle build, the cached fold against the full rule, the
+in-place S_m(phi) against the form that copies, the joint Beta-band
+inversion against one solve per band, and the banded sphere rules
+(importance mixture, caps, ring strata) against their draws band by band."""
 
 import math
 
@@ -81,6 +83,33 @@ def test_rule_of_no_angle_is_empty():
     assert (est.value, est.count) == (0.0, 0)
 
 
+def _sin_power_integral_by_copies(phi, m, coeffs):
+    """S_m(phi) and sin^{2m}(phi) with a new array for every operation."""
+    s, c = np.sin(phi), np.cos(phi)
+    sc, s2 = s * c, s * s
+    red, power = phi, np.ones_like(phi)
+    for k in range(1, m + 1):
+        red = ((2 * k - 1) * red - power * sc) / (2 * k)
+        power = power * s2
+    x2 = phi * phi
+    poly = np.full_like(phi, coeffs[-1])
+    for cj in coeffs[-2::-1]:
+        poly = poly * x2 + cj
+    taylor = phi * x2 ** m * poly
+    return np.where(phi < quad.BAND_TAYLOR_PHI, taylor, red), power
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_sin_power_integral_in_place_is_the_copying_form(m):
+    rng = np.random.default_rng(m)
+    phi = np.concatenate([10.0 ** rng.uniform(-40.0, 0.2, 5000),
+                          rng.uniform(0.0, np.pi / 2, 5000)])
+    coeffs = quad._sin_power_series(m)[1]
+    got = quad._sin_power_integral(phi.copy(), m, coeffs)
+    ref = _sin_power_integral_by_copies(phi, m, coeffs)
+    assert all(_same_bits(x, y) for x, y in zip(got, ref))
+
+
 SIZES = [1, 2, 3, 7, 10, 31, 100, 1000, 10_000, 1, 5]
 
 
@@ -117,8 +146,23 @@ def test_joint_band_draws_are_the_draws_band_by_band(a):
     assert _same_bits(joint, np.concatenate(alone))
 
 
-# the importance sampler as it drew band by band: each band's uniforms, its
-# Beta inversion and its tangential directions, center by center
+def _band_alone(xc, band, count, rng):
+    """One band's points as drawn on their own: the band's uniforms, one Beta
+    solve for them, then its tangential directions."""
+    d = xc.size
+    a = (d - 1) / 2.0
+    lo, hi, upper = band
+    v = lo + rng.random(count) * (hi - lo)
+    if upper:
+        x = 1.0 - quad._symmetric_betaincinv(a, np.maximum(v, 1e-300))
+    else:
+        x = quad._symmetric_betaincinv(a, v)
+    t = 2.0 * x - 1.0
+    dirs = quad._unit_gaussians(rng, count, d - 1) @ quad._complement_basis(xc).T
+    return t[:, None] * xc + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * dirs
+
+
+# the importance sampler as it drew band by band, center by center
 def _importance_rule_by_band(n, centers, depth_scale, count, seed):
     centers = [np.asarray(c, dtype=complex) for c in centers]
     d = 2 * n
@@ -148,16 +192,7 @@ def _importance_rule_by_band(n, centers, depth_scale, count, seed):
             sel = comp == j * M + m
             ns = int(sel.sum())
             if ns:
-                bl, bh, bu = bands[m]
-                v = bl + rng.random(ns) * (bh - bl)
-                if bu:
-                    x = 1.0 - quad._symmetric_betaincinv(a, np.maximum(v, 1e-300))
-                else:
-                    x = quad._symmetric_betaincinv(a, v)
-                t = 2.0 * x - 1.0
-                dirs = quad._unit_gaussians(rng, ns, d - 1) @ quad._complement_basis(xs[j]).T
-                pts[sel] = (t[:, None] * xs[j][None, :]
-                            + np.sqrt(np.maximum(1.0 - t ** 2, 0.0))[:, None] * dirs)
+                pts[sel] = _band_alone(xs[j], bands[m], ns, rng)
 
     boost = np.full(count, 0.5)
     for j in range(J):
@@ -198,3 +233,86 @@ def test_importance_rule_keeps_its_draw_order(centers, depth, seed, monkeypatch)
     ref_pts, ref_w = _importance_rule_by_band(2, centers, depth, 2000, seed)
     ref_pts = geo.to_real(geo.to_complex(ref_pts))  # as the integrand sees them
     assert _same_bits(pts, ref_pts) and _same_bits(w, ref_w)
+
+
+# the ring strata as they were built band by band, each band on its stream
+def _strata_by_band(d, center, count, seed, d_star):
+    a = (d - 1) / 2.0
+    t_edges = quad._ring_t_edges(d_star)
+    u = (1.0 + t_edges) / 2.0
+    n_strata = len(t_edges) - 1
+    per = max(count // n_strata, 16)
+    lo, hi, upper = quad._band_cdf(a, u[:-1], u[1:])
+    pts, wts, slices = [], [], []
+    for i in range(n_strata):
+        frac = hi[i] - lo[i]
+        if frac <= 0.0:
+            continue
+        pts.append(_band_alone(center, (lo[i], hi[i], upper[i]), per,
+                               geo.rng_stream(seed, 0x57A7, i)))
+        wts.append(np.full(per, quad.sphere_area_real(d) * frac / per))
+        slices.append(slice(per * len(slices), per * (len(slices) + 1)))
+    return np.concatenate(pts), np.concatenate(wts), tuple(slices)
+
+
+def _pole(n):
+    """A unit vector of R^{2n} off the coordinate axes."""
+    x = np.zeros(2 * n)
+    x[:3] = (0.6, 0.0, 0.8)
+    return x
+
+
+@pytest.mark.parametrize("count", [100, 20_000, 100_000])
+@pytest.mark.parametrize("eps", [0.1, 1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [7, 11, 13])
+def test_ring_strata_are_the_strata_band_by_band(seed, n, eps, count):
+    center = tuple(_pole(n))
+    build = quad._sphere_nodes_stratified.__wrapped__  # the builder, uncached
+    pts, w, strata = build(2 * n, center, count, seed, math.sqrt(eps))
+    ref_pts, ref_w, ref_strata = _strata_by_band(2 * n, np.array(center), count,
+                                                 seed, math.sqrt(eps))
+    assert _same_bits(pts, ref_pts) and _same_bits(w, ref_w)
+    assert strata == ref_strata
+
+
+# the cap as it was drawn: one band, on its own
+def _cap_by_band(n, radius, count, seed, complement):
+    c = 1.0 - radius ** 2 / 2.0
+    u_c = np.clip((1.0 + c) / 2.0, 0.0, 1.0)
+    u1, u2 = (0.0, u_c) if complement else (u_c, 1.0)
+    band = quad._band_cdf((2 * n - 1) / 2.0, u1, u2)
+    pts = _band_alone(_pole(n), band, count, geo.rng_stream(seed, 0xCA9, 0))
+    return pts, quad.sphere_area(n) * (band[1] - band[0])
+
+
+@pytest.mark.parametrize("complement", [False, True], ids=["cap", "complement"])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 1.9])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [7, 11, 13])
+def test_cap_rule_is_its_band_alone(seed, n, radius, complement):
+    seen = {}
+
+    def g(Z):
+        seen["x"] = geo.to_real(Z)
+        return np.ones(len(Z))
+
+    est = quad.integrate_cap(g, geo.to_complex(_pole(n)), radius, n, 2000, seed,
+                             complement=complement)
+    ref_pts, ref_mass = _cap_by_band(n, radius, 2000, seed, complement)
+    ref_pts = geo.to_real(geo.to_complex(ref_pts))  # as the integrand sees them
+    assert _same_bits(seen["x"], ref_pts)
+    assert est.value == ref_mass
+
+
+@pytest.mark.parametrize("eps,count,nodes", [
+    (0.1, 100, 96),       # 6 strata of 16
+    (1e-12, 100, 384),    # 24 strata of 16
+    (0.1, 20_000, 19_998),  # 6 strata of 3333
+])
+def test_ring_strata_take_n_strata_times_per_stratum_nodes(eps, count, nodes):
+    s = quad.parametrized_level_sampler((1.0, 2.0), eps, count, 7,
+                                        singular_center=(1, 0))
+    n_strata = len(quad._ring_t_edges(math.sqrt(eps))) - 1
+    assert s.count == nodes == n_strata * max(count // n_strata, 16)
+    assert len(s.strata) == n_strata
