@@ -40,10 +40,10 @@ class CriterionResult:
                 f"{self.title} ({self.runtime:.1f} s)")
 
 
-def _row(cid, case, passed, seed, *, lemma="", p="", x="", value="", stderr="",
-         verdict="", rate="", r2=""):
+def _row(experiment_id, case, passed, seed, *, lemma="", p="", x="", value="",
+         stderr="", verdict="", rate="", r2=""):
     return {
-        "experiment_id": f"criterion-{cid:02d}",
+        "experiment_id": experiment_id,
         "lemma_id": lemma,
         "case_label": case,
         "p": p,
@@ -58,27 +58,34 @@ def _row(cid, case, passed, seed, *, lemma="", p="", x="", value="", stderr="",
     }
 
 
-def _report_rows(cid, report, seed):
-    rows = []
-    for c in report.cases:
-        rows.append(_row(cid, c.label, c.passed, seed, lemma=report.lemma_id,
-                         p=c.p, verdict=c.verdict.klass, rate=c.verdict.rate,
-                         r2=c.verdict.r2))
-    return rows
+def _report_rows(experiment_id, report, seed):
+    """One CSV row per case of a lemma report."""
+    return [_row(experiment_id, c.label, c.passed, seed, lemma=report.lemma_id,
+                 p=c.p, verdict=c.verdict.klass, rate=c.verdict.rate,
+                 r2=c.verdict.r2) for c in report.cases]
+
+
+def _lemma_criterion(cid, title, seed, reports, gate=math.inf):
+    """Criterion ``cid`` over the lemma reports that ``reports(cfg)`` yields:
+    it passes when every report passes and the whole run takes at most
+    ``gate`` seconds."""
+    t0 = time.time()
+    rows, lines, ok = [], [], True
+    for rep in reports(norms.QuadConfig(seed=seed)):
+        ok = ok and rep.passed
+        rows += _report_rows(f"criterion-{cid:02d}", rep, seed)
+        lines += rep.summary_lines()
+    runtime = time.time() - t0
+    return CriterionResult(cid, title, seed, ok and runtime <= gate, runtime,
+                           rows, lines)
 
 
 # ---------------------------------------------------------------------------
 
 def criterion_01(seed):
     """Membership thresholds of the kernel zoo on the ball (n=2)."""
-    t0 = time.time()
-    cfg = norms.QuadConfig(seed=seed)
-    rep = ex.verify_lemma_2_2(cfg=cfg)
-    ok = rep.passed and (time.time() - t0) <= 60.0
-    res = CriterionResult(1, "kernel zoo thresholds (f, log f, powers)", seed,
-                          ok, time.time() - t0, rows=_report_rows(1, rep, seed),
-                          lines=rep.summary_lines())
-    return res
+    return _lemma_criterion(1, "kernel zoo thresholds (f, log f, powers)", seed,
+                            lambda cfg: [ex.verify_lemma_2_2(cfg=cfg)], gate=60.0)
 
 
 def criterion_02(seed):
@@ -92,9 +99,9 @@ def criterion_02(seed):
     ratio = sc.values / np.log(1.0 / (1.0 - r ** 2))
     spread = float((ratio.max() - ratio.min()) / ratio.mean())
     ok = spread <= 0.15
-    rows = [_row(2, "ratio I(r)/log(1/(1-r^2)) spread", ok, seed,
+    rows = [_row("criterion-02", "ratio I(r)/log(1/(1-r^2)) spread", ok, seed,
                  value=spread)]
-    rows += [_row(2, "ratio", ok, seed, x=float(rv), value=float(q))
+    rows += [_row("criterion-02", "ratio", ok, seed, x=float(rv), value=float(q))
              for rv, q in zip(r, ratio)]
     return CriterionResult(2, "log-rate constancy at the critical exponent",
                            seed, ok, time.time() - t0, rows,
@@ -109,12 +116,13 @@ def criterion_03(seed):
     rep = ex.verify_local_bound(cfg=cfg)
     ok = rep.passed and (time.time() - t0) <= 60.0
     rows = [
-        _row(3, "alpha", True, seed, lemma="2.5", value=rep.alpha),
-        _row(3, "complement sup <= bound*1.05", rep.measured_sup <= rep.bound * 1.05,
-             seed, lemma="2.5", p=2.0, value=rep.measured_sup, stderr=rep.bound),
-        _row(3, "cap scan diverges", rep.cap_verdict.divergent, seed, lemma="2.5",
-             p=2.0, verdict=rep.cap_verdict.klass, rate=rep.cap_verdict.rate,
-             r2=rep.cap_verdict.r2),
+        _row("criterion-03", "alpha", True, seed, lemma="2.5", value=rep.alpha),
+        _row("criterion-03", "complement sup <= bound*1.05",
+             rep.measured_sup <= rep.bound * 1.05, seed, lemma="2.5", p=2.0,
+             value=rep.measured_sup, stderr=rep.bound),
+        _row("criterion-03", "cap scan diverges", rep.cap_verdict.divergent,
+             seed, lemma="2.5", p=2.0, verdict=rep.cap_verdict.klass,
+             rate=rep.cap_verdict.rate, r2=rep.cap_verdict.r2),
     ]
     return CriterionResult(3, "local bound on the cap complement", seed, ok,
                            time.time() - t0, rows, rep.summary_lines())
@@ -122,16 +130,10 @@ def criterion_03(seed):
 
 def criterion_04(seed):
     """Defining-function containment with rescaled and warped companions."""
-    t0 = time.time()
-    cfg = norms.QuadConfig(seed=seed)
-    rows, lines, ok = [], [], True
-    for kind in ("identity", "rescaled", "warped"):
-        rep = ex.verify_lemma_3_1(lam_kind=kind, cfg=cfg)
-        ok = ok and rep.passed
-        rows += _report_rows(4, rep, seed)
-        lines += rep.summary_lines()
-    return CriterionResult(4, "level-class containment across defining functions",
-                           seed, ok, time.time() - t0, rows, lines)
+    return _lemma_criterion(
+        4, "level-class containment across defining functions", seed,
+        lambda cfg: (ex.verify_lemma_3_1(lam_kind=kind, cfg=cfg)
+                     for kind in ("identity", "rescaled", "warped")))
 
 
 def criterion_05(seed):
@@ -140,7 +142,7 @@ def criterion_05(seed):
     cfg = norms.QuadConfig(seed=seed)
     domain = parse_domain("ellipsoid:a=1,2")
     rep = ex.verify_lemma_4_2(cfg=cfg)
-    rows = _report_rows(5, rep, seed)
+    rows = _report_rows("criterion-05", rep, seed)
     lines = rep.summary_lines()
     f = fn.LeviReciprocal(domain, (1.0, 0.0))
     agree = True
@@ -160,8 +162,9 @@ def criterion_05(seed):
             tol = 3.0 * e_par.combined_stderr(e_thin)
             ok_pt = gap <= tol
             agree = agree and ok_pt
-            rows.append(_row(5, f"methods agree p={p:g}", ok_pt, seed, lemma="4.2",
-                             p=p, x=eps, value=e_par.value - e_thin.value,
+            rows.append(_row("criterion-05", f"methods agree p={p:g}", ok_pt,
+                             seed, lemma="4.2", p=p, x=eps,
+                             value=e_par.value - e_thin.value,
                              stderr=e_par.combined_stderr(e_thin)))
             lines.append(f"      p={p:g} eps={eps:.4g}: par={e_par.value:.5g} "
                          f"thin={e_thin.value:.5g} |diff|={gap:.3g} tol={tol:.3g} "
@@ -174,28 +177,16 @@ def criterion_05(seed):
 
 def criterion_06(seed):
     """Levi power function: global membership below q, local divergence."""
-    t0 = time.time()
-    cfg = norms.QuadConfig(seed=seed)
-    rep = ex.verify_lemma_4_3(cfg=cfg)
-    return CriterionResult(6, "Levi power thresholds on the ellipsoid", seed,
-                           rep.passed, time.time() - t0,
-                           _report_rows(6, rep, seed), rep.summary_lines())
+    return _lemma_criterion(6, "Levi power thresholds on the ellipsoid", seed,
+                            lambda cfg: [ex.verify_lemma_4_3(cfg=cfg)])
 
 
 def criterion_07(seed):
     """Harmonic kernel thresholds for n = 3 and n = 4, global and local."""
-    t0 = time.time()
-    cfg = norms.QuadConfig(seed=seed)
-    rows, lines, ok = [], [], True
-    for n in (3, 4):
-        rep = ex.verify_lemma_5_1(n=n, cfg=cfg)
-        ok = ok and rep.passed
-        rows += _report_rows(7, rep, seed)
-        lines += rep.summary_lines()
-    runtime = time.time() - t0
-    ok = ok and runtime <= 120.0
-    return CriterionResult(7, "harmonic kernel thresholds", seed, ok, runtime,
-                           rows, lines)
+    return _lemma_criterion(
+        7, "harmonic kernel thresholds", seed,
+        lambda cfg: (ex.verify_lemma_5_1(n=n, cfg=cfg) for n in (3, 4)),
+        gate=120.0)
 
 
 def criterion_08(seed):
@@ -210,14 +201,14 @@ def criterion_08(seed):
         rep = check_levi_estimate(domain, beta, eta=0.5, count=10_000, seed=seed)
         good = rep.ok
         ok = ok and good
-        rows.append(_row(8, f"{label} beta={beta:.4g} no violations", good, seed,
-                         value=rep.worst_margin))
+        rows.append(_row("criterion-08", f"{label} beta={beta:.4g} no violations",
+                         good, seed, value=rep.worst_margin))
         lines.append(f"      {label}: beta={beta:.4g}, worst margin "
                      f"{rep.worst_margin:.3e}, violations {len(rep.violations)}")
     rep_bad = check_levi_estimate(ball, 1.5, eta=0.5, count=10_000, seed=seed)
     found = len(rep_bad.violations) >= 1
     ok = ok and found
-    rows.append(_row(8, "ball beta=1.5 finds violations", found, seed,
+    rows.append(_row("criterion-08", "ball beta=1.5 finds violations", found, seed,
                      value=rep_bad.worst_margin))
     lines.append(f"      ball beta=1.5: worst margin {rep_bad.worst_margin:.3e}, "
                  f"violations {len(rep_bad.violations)} (inflated beta must fail)")
@@ -233,11 +224,11 @@ def criterion_09(seed):
     res = ex.density_demo(base, cfg=cfg)
     runtime = time.time() - t0
     ok = res.passed and runtime <= 180.0
-    rows = [_row(9, "metric < delta", res.metric.value < 0.01, seed,
+    rows = [_row("criterion-09", "metric < delta", res.metric.value < 0.01, seed,
                  value=res.metric.value, stderr=res.metric.uncertainty),
-            _row(9, "coefficient", True, seed, value=res.coefficient)]
+            _row("criterion-09", "coefficient", True, seed, value=res.coefficient)]
     for e in res.witnesses.entries:
-        rows.append(_row(9, "witness exceeds bound", e.success, seed,
+        rows.append(_row("criterion-09", "witness exceeds bound", e.success, seed,
                          value=e.value))
     return CriterionResult(9, "density demo: small metric, unbounded witnesses",
                            seed, ok, runtime, rows, res.summary_lines())
@@ -252,7 +243,7 @@ def criterion_10(seed):
 
     def check(name, ok, detail=""):
         checks.append(ok)
-        rows.append(_row(10, name, bool(ok), seed, value=detail))
+        rows.append(_row("criterion-10", name, bool(ok), seed, value=detail))
         lines.append(f"      {'ok ' if ok else 'BAD'} {name} {detail}")
 
     n = 2

@@ -416,7 +416,7 @@ def _dispatch(args, file_cfg):
         rep = _run_lemma(args, cfg)
         print("\n".join(rep.summary_lines()))
         if args.out:
-            write_csv(acceptance._report_rows(0, rep, seed), args.out)
+            write_csv(acceptance._report_rows("lemma", rep, seed), args.out)
         return _report_exit(rep)
 
     if args.command == "witness":

@@ -29,14 +29,12 @@ class LemmaCase:
     measured: str
     verdict: norms.DivergenceVerdict
     passed: bool
-    expected_class: str = ""      # optional divergence-class requirement
 
 
 @dataclass
 class LemmaReport:
     lemma_id: str
     cases: list
-    config: dict
     runtime: float = 0.0
     extras: dict = field(default_factory=dict)
 
@@ -76,7 +74,7 @@ def _case(label, p, expected, membership, expected_class=""):
         ok = ok and membership.verdict.klass == expected_class
     return LemmaCase(label=label, p=float(p), expected=expected,
                      measured=membership.status, verdict=membership.verdict,
-                     passed=ok, expected_class=expected_class)
+                     passed=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +109,7 @@ def verify_lemma_2_2(n=2, q=1.5, cfg=None):
         cases += [_case(label, p, expected, m, klass)
                   for (p, expected, klass), m in zip(expect, ms)]
 
-    return LemmaReport("2.2", cases, {"n": n, "q": q, "seed": cfg.seed},
-                       runtime=time.time() - t0)
+    return LemmaReport("2.2", cases, runtime=time.time() - t0)
 
 
 @dataclass
@@ -125,7 +122,7 @@ class LocalBoundReport:
     cap_verdict: norms.DivergenceVerdict
     complement_verdict: norms.DivergenceVerdict
     runtime: float
-    config: dict
+    n: int
 
     @property
     def passed(self):
@@ -135,7 +132,7 @@ class LocalBoundReport:
     @property
     def cases(self):
         """The report as one lemma case: the complement stays bounded (In)."""
-        return [LemmaCase("complement bound", float(self.config["n"]), "In",
+        return [LemmaCase("complement bound", float(self.n), "In",
                           "In" if self.passed else "Out", self.complement_verdict,
                           self.passed)]
 
@@ -150,38 +147,32 @@ class LocalBoundReport:
         ]
 
 
-def verify_local_bound(n=2, eps_cap=0.5, cfg=None):
+def verify_local_bound(n=2, cfg=None):
     """Lemma about the cap complement: the complement integral of |f_zeta|^n
     stays below sigma(S)/alpha^n for every radius while the cap integral
-    diverges, for zeta = e_1 in C^n and the cap G = S cap B(zeta, eps_cap).
+    diverges, for zeta = e_1 in C^n and the cap G = S cap B(zeta, 0.5).
 
     alpha = inf of 1 - Re<z, zeta> over (S - G) cap {Re<z, zeta> >= 0}.  On S,
-    1 - Re<z, zeta> = |z - zeta|^2 / 2, which is at least eps_cap^2 / 2 off
-    the open cap and equal to it on the rim, so alpha = eps_cap^2 / 2.
+    1 - Re<z, zeta> = |z - zeta|^2 / 2, which is at least 0.5^2 / 2 off the
+    open cap and equal to it on the rim, so alpha = 0.5^2 / 2.
     """
     cfg = cfg or norms.QuadConfig()
     grid = norms.ApproachGrid("radial", 4, 20)
     t0 = time.time()
     zeta = _e1(n)
     f = fn.Cauchy(zeta)
-    if eps_cap >= math.sqrt(2.0):
-        # the cap covers the closed half {z . zeta >= 0}: the constraint set is
-        # empty, alpha = inf over the empty set, and the bound holds trivially
-        alpha, bound = math.inf, 0.0
-    else:
-        alpha = eps_cap ** 2 / 2.0
-        bound = quad.sphere_area(n) / alpha ** n
-    comp = norms.local_scan_ball(f, float(n), zeta, eps_cap, grid, cfg,
+    alpha = 0.5 ** 2 / 2.0
+    bound = quad.sphere_area(n) / alpha ** n
+    comp = norms.local_scan_ball(f, float(n), zeta, 0.5, grid, cfg,
                                  complement=True)
-    cap = norms.local_scan_ball(f, float(n), zeta, eps_cap, grid, cfg)
+    cap = norms.local_scan_ball(f, float(n), zeta, 0.5, grid, cfg)
     comp_v = norms.classify(comp)
     cap_v = norms.classify(cap)
     mask = comp.usable_mask()
     measured_sup = float(np.max(comp.values[mask])) if mask.any() else np.inf
     return LocalBoundReport(alpha=alpha, bound=bound, measured_sup=measured_sup,
                             cap_verdict=cap_v, complement_verdict=comp_v,
-                            runtime=time.time() - t0,
-                            config={"n": n, "eps_cap": eps_cap, "seed": cfg.seed})
+                            runtime=time.time() - t0, n=n)
 
 
 def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
@@ -218,7 +209,7 @@ def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
     if v_rho.divergent:
         return LemmaReport("3.1", [
             LemmaCase("rho-level scan on U", p, "In", "Out", v_rho, False)],
-            {"lam": lam_kind, "seed": cfg.seed}, runtime=time.time() - t0,
+            runtime=time.time() - t0,
             extras={"note": "f not in the rho-class; containment skipped"})
 
     sc_lam = norms.level_scan_domain(f, p, lam_domain, grid_lam, cfg, restrict=V)
@@ -252,8 +243,7 @@ def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
         cases.append(LemmaCase("identity case kappa <= 1 + 3 stderr", p, "In",
                                "In" if kappa <= 1.0 + 3.0 * rel_err else "Out",
                                v_lam, kappa <= 1.0 + 3.0 * rel_err))
-    return LemmaReport("3.1", cases, {"lam": lam_kind, "p": p, "seed": cfg.seed},
-                       runtime=time.time() - t0, extras=extras)
+    return LemmaReport("3.1", cases, runtime=time.time() - t0, extras=extras)
 
 
 BISECT_TOL = 0.1     # bracket width at which the bisection stops
@@ -279,13 +269,13 @@ def bisect_critical_exponent(verdict_fn, p_lo, p_hi):
     return lo, hi
 
 
-def verify_lemma_4_2(domain=None, cfg=None, grid=None, bisect=True):
+def verify_lemma_4_2(domain=None, cfg=None):
     """Reciprocal Levi polynomial at zeta = (1, 0) on an ellipsoid: inside H^p
     for p < n, divergent at p = 2n - 1; also brackets the empirical critical
     exponent."""
     cfg = cfg or norms.QuadConfig()
     domain = domain or parse_domain("ellipsoid:a=1,2")
-    grid = grid or norms.LEVEL_GRID
+    grid = norms.LEVEL_GRID
     zeta = (1.0 + 0j, 0j)
     n = domain.n
     f = fn.LeviReciprocal(domain, zeta)
@@ -298,12 +288,9 @@ def verify_lemma_4_2(domain=None, cfg=None, grid=None, bisect=True):
                                         norms.LevelSurface(domain), grid, cfg)
     cases = [_case("1/Q below threshold", 1.5, "In", m15),
              _case("1/Q at 2n-1", 2 * n - 1, "Out", m3)]
-    extras = {}
-    if bisect:
-        lo, hi = bisect_critical_exponent(member, 1.5, 2.0 * n - 1.0)
-        extras["critical_exponent_bracket"] = f"[{lo:.4f}, {hi:.4f}]"
-    return LemmaReport("4.2", cases, {"domain": domain.describe(), "seed": cfg.seed},
-                       runtime=time.time() - t0, extras=extras)
+    lo, hi = bisect_critical_exponent(member, 1.5, 2.0 * n - 1.0)
+    return LemmaReport("4.2", cases, runtime=time.time() - t0,
+                       extras={"critical_exponent_bracket": f"[{lo:.4f}, {hi:.4f}]"})
 
 
 def verify_lemma_4_3(domain=None, q=1.5, cfg=None):
@@ -325,8 +312,7 @@ def verify_lemma_4_3(domain=None, q=1.5, cfg=None):
         _case("levi power below q", 0.8 * q, "In", m_in),
         _case("levi power at (2n-1)q/n on U", p_out, "Out", m_out),
     ]
-    return LemmaReport("4.3", cases, {"domain": domain.describe(), "q": q,
-                                      "seed": cfg.seed}, runtime=time.time() - t0)
+    return LemmaReport("4.3", cases, runtime=time.time() - t0)
 
 
 def verify_lemma_5_1(n=3, cfg=None):
@@ -347,8 +333,7 @@ def verify_lemma_5_1(n=3, cfg=None):
     v_loc = norms.classify(sc_loc)
     m_loc = norms.Membership(norms.membership_from_verdict(v_loc), v_loc, sc_loc)
     cases.append(_case("harmonic kernel local U", t, "Out", m_loc))
-    return LemmaReport("5.1", cases, {"n": n, "threshold": t, "seed": cfg.seed},
-                       runtime=time.time() - t0)
+    return LemmaReport("5.1", cases, runtime=time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +353,6 @@ class WitnessEntry:
 class WitnessReport:
     bound: float
     entries: list
-    runtime: float = 0.0
 
     @property
     def passed(self):
@@ -395,7 +379,6 @@ def totally_unbounded_witness(fspec, targets, bound, domain=None):
     Success requires a probe z strictly inside the domain with |f(z)| > bound;
     failure after PROBE_SCHEDULE is recorded as data, not an error.
     """
-    t0 = time.time()
     entries = []
     for target in targets:
         tz = np.asarray(target, dtype=complex)
@@ -414,14 +397,12 @@ def totally_unbounded_witness(fspec, targets, bound, domain=None):
                                          probe=tuple(z), value=val, rho=rho)
                     break
         entries.append(entry)
-    return WitnessReport(bound=float(bound), entries=entries,
-                         runtime=time.time() - t0)
+    return WitnessReport(bound=float(bound), entries=entries)
 
 
 @dataclass
 class DensityDemoResult:
     coefficient: float
-    centers: np.ndarray
     metric: norms.MetricResult
     witnesses: WitnessReport
     delta: float
@@ -477,6 +458,6 @@ def density_demo(base, q=1.5, delta=0.01, J=4, cfg=None):
             f"coefficient search underflow: c={c:g}, metric={metric.value:g}")
 
     witnesses = totally_unbounded_witness(f, centers, 1e3, domain=domain)
-    return DensityDemoResult(coefficient=c, centers=centers, metric=metric,
+    return DensityDemoResult(coefficient=c, metric=metric,
                              witnesses=witnesses, delta=delta,
                              runtime=time.time() - t0)

@@ -264,6 +264,13 @@ def rng_stream(seed, *streams):
     return np.random.Generator(np.random.Philox(key=[int(key), int(mix)]))
 
 
+def _unit_gaussians(rng, count, d):
+    """``count`` uniform directions in R^d: normalized Gaussian draws."""
+    g = rng.standard_normal((count, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g
+
+
 def _kronecker_alpha(d):
     """The R_d generator: alpha_j = phi_d^-(j+1), phi_d the positive root of
     x^(d+1) = x + 1 (M. Roberts, "The unreasonable effectiveness of
@@ -351,19 +358,17 @@ def project_to_boundary(domain, z):
 LEVI_SHELL = 0.1  # depth of the boundary neighborhood sampled for the Levi form
 
 
-def levi_form_min_eigenvalue(domain, samples=200, seed=7):
+def levi_form_min_eigenvalue(domain, seed=7):
     """Minimum eigenvalue of the complex Hessian over a boundary neighborhood.
 
-    Samples boundary points scaled inward by factors in (1 - LEVI_SHELL, 1]
-    and returns the smallest Hessian eigenvalue seen; one third of this value
-    is the constant used in the quadratic lower estimate for the Levi
-    polynomial.
+    Samples 200 boundary points scaled inward by factors in
+    (1 - LEVI_SHELL, 1] and returns the smallest Hessian eigenvalue seen; one
+    third of this value is the constant used in the quadratic lower estimate
+    for the Levi polynomial.
     """
-    if samples < 1:
-        raise GeometryError("samples must be >= 1")
-    pts = boundary_dense_sequence(domain, samples, seed=seed)
+    pts = boundary_dense_sequence(domain, 200, seed=seed)
     rng = rng_stream(seed, 0x1E71)
-    t = 1.0 - LEVI_SHELL * rng.random(samples)
+    t = 1.0 - LEVI_SHELL * rng.random(len(pts))
     pts = pts * t[:, None]
     H = domain.hess_zzbar(pts)
     eigs = np.linalg.eigvalsh(H)
@@ -398,8 +403,6 @@ def levi_polynomial(domain, z, zeta):
 class LeviEstimateReport:
     """Sampled check of Re Q >= rho(zeta) - rho(z) + beta |zeta - z|^2."""
 
-    beta: float
-    eta: float
     sample_count: int
     worst_margin: float
     violations: list = field(default_factory=list)
@@ -409,35 +412,29 @@ class LeviEstimateReport:
         return not self.violations
 
 
-def check_levi_estimate(domain, beta, eta, pairs=None, count=10_000, seed=7):
+def check_levi_estimate(domain, beta, eta, count=10_000, seed=7):
     """Check the quadratic lower bound for Re Q on sampled (z, zeta) pairs.
 
     zeta is drawn on the boundary and z in the closed domain with
-    |z - zeta| <= eta.  Explicit pairs (Z, Zeta) arrays may be supplied instead.
-    Margin per pair: Re Q - rho(zeta) + rho(z) - beta |zeta - z|^2.
+    |z - zeta| <= eta.  Margin per pair:
+    Re Q - rho(zeta) + rho(z) - beta |zeta - z|^2.
     """
     if beta <= 0 or eta <= 0:
         raise GeometryError("beta and eta must be positive")
-    if pairs is not None:
-        Z, Zeta = (np.asarray(a, dtype=complex) for a in pairs)
-        if Z.size == 0:
-            raise GeometryError("no samples")
-    else:
-        if count < 1:
-            raise GeometryError("no samples")
-        Zeta = boundary_dense_sequence(domain, count, seed=seed)
-        rng = rng_stream(seed, 0x7A1)
-        g = rng.standard_normal((count, 2 * domain.n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radius = eta * rng.random(count) ** 0.5
-        delta = to_complex(g) * radius[:, None]
+    if count < 1:
+        raise GeometryError("no samples")
+    Zeta = boundary_dense_sequence(domain, count, seed=seed)
+    rng = rng_stream(seed, 0x7A1)
+    g = _unit_gaussians(rng, count, 2 * domain.n)
+    radius = eta * rng.random(count) ** 0.5
+    delta = to_complex(g) * radius[:, None]
+    Z = Zeta + delta
+    for _ in range(80):
+        outside = domain.rho(Z) > 0.0
+        if not outside.any():
+            break
+        delta = np.where(outside[:, None], 0.5 * delta, delta)
         Z = Zeta + delta
-        for _ in range(80):
-            outside = domain.rho(Z) > 0.0
-            if not outside.any():
-                break
-            delta = np.where(outside[:, None], 0.5 * delta, delta)
-            Z = Zeta + delta
     q = levi_polynomial(domain, Z, Zeta)
     rho_z = domain.rho(Z)
     rho_zeta = domain.rho(Zeta)
@@ -448,8 +445,6 @@ def check_levi_estimate(domain, beta, eta, pairs=None, count=10_000, seed=7):
         (Z[i].copy(), Zeta[i].copy(), float(margin[i])) for i in np.nonzero(bad)[0][:100]
     ]
     return LeviEstimateReport(
-        beta=float(beta),
-        eta=float(eta),
         sample_count=int(margin.size),
         worst_margin=float(np.min(margin)),
         violations=violations,

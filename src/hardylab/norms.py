@@ -358,7 +358,7 @@ class NormScan:
     values: np.ndarray
     stderrs: np.ndarray
     flags: list
-    methods: list = None
+    methods: list
 
     def usable_mask(self):
         """Points trusted for fits and sups: finite, unflagged, and either
@@ -370,8 +370,7 @@ class NormScan:
         for i, fl in enumerate(self.flags):
             if fl:
                 ok[i] = False
-        methods = self.methods or [""] * len(v)
-        det = np.array([m in DETERMINISTIC_METHODS for m in methods])
+        det = np.array([m in DETERMINISTIC_METHODS for m in self.methods])
         with np.errstate(invalid="ignore"):
             rel_ok = (v > 0) & (s <= 0.05 * v)
         return ok & (det | rel_ok)
@@ -631,9 +630,6 @@ class MetricResult:
     value: float
     uncertainty: float
     terms: tuple     # (p_j, seminorm estimate, classification)
-
-    def __float__(self):
-        return self.value
 
 
 def intersection_metric(f, g, mspec, grid=None, cfg=None):

@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import geometry
-from .geometry import box_halfwidths, grad_norm, rng_stream, to_complex, to_real
+from .geometry import (_unit_gaussians, box_halfwidths, grad_norm, rng_stream,
+                       to_complex, to_real)
 
 OVERFLOW_LIMIT = 1e300
 MIN_COUNT = 100  # fewest nodes a Monte Carlo rule, or --count, takes
@@ -138,13 +139,6 @@ def inside_only(g, center, radius, complement=False):
 def sample_sphere(n, count, seed):
     """Uniform points on the unit sphere of C^n via normalized Gaussians."""
     return to_complex(_unit_gaussians(rng_stream(seed, 0x5F, 0), count, 2 * n))
-
-
-def _unit_gaussians(rng, count, d):
-    """``count`` uniform directions in R^d: normalized Gaussian draws."""
-    g = rng.standard_normal((count, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return g
 
 
 def integrate_sphere(g, n, count=100_000, seed=7):

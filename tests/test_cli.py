@@ -108,13 +108,27 @@ class TestCommands:
                     "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_lemma_local_bound_row(self, tmp_path):
-        out = tmp_path / "l25.csv"
-        assert run(["lemma", "--id", "2.5", "--seed", "7",
-                    "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
-        assert [(r["lemma_id"], r["case_label"], r["p"], r["passed"])
-                for r in rows] == [("2.5", "complement bound", "2", "True")]
+    @pytest.mark.parametrize("argv, rows", [
+        (["--id", "2.5"],
+         ["lemma,2.5,complement bound,2,,,,Bounded,0.19090033103112025,"
+          "0.47099067662142646,True,7"]),
+        (["--id", "5.1", "--n", "3"],
+         ["lemma,5.1,harmonic kernel,1.7,,,,Bounded,1.2539345971500555,"
+          "0.85782193700431719,True,7",
+          "lemma,5.1,harmonic kernel,2,,,,LogDivergent,6.5084947022294282,"
+          "0.99923669225496947,True,7",
+          "lemma,5.1,harmonic kernel,2.2999999999999998,,,,PowerDivergent,"
+          "0.36370858148787027,0.99223299990979208,True,7",
+          "lemma,5.1,harmonic kernel local U,2,,,,LogDivergent,"
+          "6.4006290856547743,0.99984558526190648,True,7"]),
+    ], ids=["2.5", "5.1"])
+    def test_lemma_csv_text(self, argv, rows, tmp_path):
+        # both run on deterministic paths (zonal, real-zonal), so the text is
+        # fixed; experiment_id names the subcommand
+        out = tmp_path / "lemma.csv"
+        assert run(["lemma", *argv, "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [
+            "# hardylab-csv v1", ",".join(cli.CSV_HEADER), *rows]
 
     def test_metric_command(self, capsys):
         code = run(["metric", "--f", "power:q=1.5;zeta=1,0", "--g", "const:1",

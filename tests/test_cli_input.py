@@ -1,6 +1,7 @@
 """Bad input stops the CLI with a message and an exit code, never a
 traceback or a silently ignored flag."""
 
+import inspect
 from types import SimpleNamespace
 
 import pytest
@@ -178,7 +179,7 @@ def test_warped_lemma_3_1_still_reads_count(monkeypatch):
 
     def recorder(cfg, lam_kind):
         seen.update(count=cfg.count, lam=lam_kind)
-        return cli.ex.LemmaReport("3.1", [], {})
+        return cli.ex.LemmaReport("3.1", [])
 
     monkeypatch.setattr(cli.ex, "verify_lemma_3_1", recorder)
     argv = ["lemma", "--id", "3.1", "--lam", "warped", "--count", "20000"]
@@ -228,6 +229,14 @@ def test_metric_reads_an_infinite_q(monkeypatch):
     argv = ["metric", "--f", "cauchy:zeta=1,0", "--g", "const:0", "--q", "inf"]
     assert cli.run(argv) == cli.EXIT_OK
     assert seen == {"q": float("inf")}
+
+
+@pytest.mark.parametrize("lemma", sorted(cli.LEMMAS))
+def test_lemma_verification_takes_exactly_its_flags(lemma):
+    # a parameter that no lemma flag sets is a setting only tests reach
+    name, reads = cli.LEMMAS[lemma]
+    params = inspect.signature(getattr(cli.ex, name)).parameters
+    assert set(params) == {"cfg"} | {"lam_kind" if k == "lam" else k for k in reads}
 
 
 @pytest.mark.parametrize("lemma,n", [("2.2", "1"), ("2.2", "0"), ("2.5", "1"),

@@ -44,16 +44,10 @@ class TestLemmaReports:
 
     @pytest.mark.parametrize("seed", [7, 11, 13])
     def test_local_bound_alpha_is_closed_form(self, seed):
-        # alpha = eps_cap^2 / 2 for eps_cap = 0.5, the same on every seed
+        # alpha = 0.5^2 / 2 for the cap radius 0.5, the same on every seed
         rep = ex.verify_local_bound(cfg=norms.QuadConfig(seed=seed))
         assert rep.alpha == 0.125
         assert rep.bound == quad.sphere_area(2) / 0.125 ** 2
-
-    def test_full_sphere_cap_makes_complement_trivial(self):
-        rep = ex.verify_local_bound(eps_cap=2.0, cfg=CFG)
-        # complement empty: measured sup 0 <= bound trivially, cap scan = full scan
-        assert rep.measured_sup == 0.0
-        assert rep.cap_verdict.divergent
 
     @pytest.mark.parametrize("kind", ["identity", "rescaled", "warped"])
     def test_lemma_3_1(self, kind):
@@ -65,7 +59,7 @@ class TestLemmaReports:
             assert kappa == pytest.approx(1.0, abs=1e-12)
 
     def test_lemma_4_2(self):
-        rep = ex.verify_lemma_4_2(cfg=CFG, bisect=False)
+        rep = ex.verify_lemma_4_2(cfg=CFG)
         assert rep.passed
 
     def test_lemma_4_3(self):
@@ -93,7 +87,7 @@ class TestSummaryLines:
     def line(expected, measured, passed):
         v = norms.DivergenceVerdict("LogDivergent", rate=0.30, r2=0.988)
         case = ex.LemmaCase("lambda-level scan", 1.5, expected, measured, v, passed)
-        return ex.LemmaReport("3.1", [case], {}).summary_lines()[1]
+        return ex.LemmaReport("3.1", [case]).summary_lines()[1]
 
     def test_passing_case_against_its_expectation_is_marked(self):
         line = self.line("In", "Out", True)

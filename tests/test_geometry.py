@@ -107,7 +107,7 @@ def test_warped_derivatives_match_finite_differences():
     (geo.Quadric((3.0, 5.0)), 3.0, 1.0),
 ])
 def test_levi_form_min_eigenvalue(domain, eig, beta):
-    val = geo.levi_form_min_eigenvalue(domain, samples=100, seed=7)
+    val = geo.levi_form_min_eigenvalue(domain, seed=7)
     assert val == pytest.approx(eig, rel=1e-10)
     assert val / 3.0 == pytest.approx(beta, rel=1e-10)
 
@@ -155,11 +155,13 @@ def test_unwarped_levi_polynomial_skips_the_zero_hessian(text, monkeypatch):
         assert np.array_equal(got, np.abs(fn.evaluate(spec, z)))
 
 
-@pytest.mark.parametrize("domain", [BALL, ELL, WARP])
+@pytest.mark.parametrize("domain", [
+    BALL, ELL, geo.parse_domain("rescaled:base=ellipsoid:a=1,2;c=2"), WARP])
 def test_levi_polynomial_vanishes_on_diagonal(domain):
+    # Q(zeta, zeta) = 0 exactly: every term carries a factor z - zeta = 0
     zeta = geo.boundary_dense_sequence(domain, 50, seed=9)
     q = geo.levi_polynomial(domain, zeta, zeta)
-    assert np.max(np.abs(q)) < 1e-12
+    assert np.all(q == 0)
 
 
 @pytest.mark.parametrize("domain", [BALL, ELL, WARP])
@@ -188,12 +190,6 @@ class TestLeviEstimate:
         rep = geo.check_levi_estimate(BALL, 1 / 3, eta=0.5, count=10_000, seed=7)
         assert rep.ok
         assert rep.worst_margin > -1e-10
-
-    def test_diagonal_pair_zero_margin(self):
-        zeta = np.array([[1.0 + 0j, 0j]])
-        rep = geo.check_levi_estimate(BALL, 1 / 3, eta=0.5, pairs=(zeta, zeta))
-        assert rep.ok
-        assert rep.worst_margin == pytest.approx(0.0, abs=1e-14)
 
     def test_inflated_beta_fails_with_margin_identity(self):
         # on the ball the margin is exactly (1 - beta)|zeta - z|^2

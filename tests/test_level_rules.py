@@ -228,6 +228,6 @@ def test_lemma_4_2_builds_each_grid_rule_once():
     grid = norms.LEVEL_GRID
     cfg = norms.QuadConfig(count=2_000)
     strata_cache.cache_clear()
-    report = ex.verify_lemma_4_2(cfg=cfg, grid=grid)
+    report = ex.verify_lemma_4_2(cfg=cfg)
     assert "critical_exponent_bracket" in report.extras
     assert strata_cache.cache_info().misses == len(grid.ks())
