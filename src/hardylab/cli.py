@@ -84,9 +84,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def exponent(name, floor, inf_ok=False):
-    """argparse type of an exponent flag: a number above ``floor``, finite
-    unless ``inf_ok``; anything else is a usage error."""
+def above(name, floor, inf_ok=False):
+    """argparse type of a number flag (an exponent, a radius): a number above
+    ``floor``, finite unless ``inf_ok``; anything else is a usage error."""
     def parse(text):
         try:
             x = float(text)
@@ -96,6 +96,21 @@ def exponent(name, floor, inf_ok=False):
             bound = f"> {floor:g}" + (" or inf" if inf_ok else ", finite")
             raise argparse.ArgumentTypeError(f"{text!r}: {name} must be {bound}")
         return x
+    return parse
+
+
+def at_least(name, least):
+    """argparse type of a count flag: an integer >= ``least``; anything else
+    is a usage error."""
+    def parse(text):
+        try:
+            k = int(text)
+        except ValueError:
+            k = None
+        if k is None or k < least:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: {name} must be an integer >= {least}")
+        return k
     return parse
 
 
@@ -168,12 +183,12 @@ def build_parser():
     p = sub.add_parser("norm", help="Hardy seminorm of a function")
     common(p)
     p.add_argument("--f", required=True)
-    p.add_argument("--p", type=exponent("p", 0), required=True)
+    p.add_argument("--p", type=above("p", 0), required=True)
 
     p = sub.add_parser("scan", help="boundary-approach scan plus verdict")
     common(p, plot_data=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--p", type=exponent("p", 0), required=True)
+    p.add_argument("--p", type=above("p", 0), required=True)
     p.add_argument("--domain", default="ball:n=2")
     p.add_argument("--surface", choices=["sphere", "level"], default="sphere")
     p.add_argument("--kmin", type=int, default=None)
@@ -182,7 +197,7 @@ def build_parser():
     p = sub.add_parser("local", help="cap-restricted scan on the ball")
     common(p, plot_data=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--p", type=exponent("p", 0), required=True)
+    p.add_argument("--p", type=above("p", 0), required=True)
     p.add_argument("--center", required=True, help="cap center, e.g. 1,0")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--complement", action="store_true")
@@ -190,17 +205,17 @@ def build_parser():
     p = sub.add_parser("levi-check", help="quadratic lower bound for Re Q")
     common(p, count=False)
     p.add_argument("--domain", default="ball:n=2")
-    p.add_argument("--beta", type=float, default=None,
+    p.add_argument("--beta", type=above("beta", 0), default=None,
                    help="default: min Levi eigenvalue / 3")
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--pairs", type=int, default=10_000)
+    p.add_argument("--eta", type=above("eta", 0), default=0.5)
+    p.add_argument("--pairs", type=at_least("pairs", 1), default=10_000)
 
     p = sub.add_parser("lemma", help="run one lemma verification report")
     common(p)
     p.add_argument("--id", required=True,
                    choices=["2.2", "2.5", "3.1", "4.2", "4.3", "5.1"])
     p.add_argument("--n", type=int, default=None, help="lemmas 2.2, 2.5, 5.1")
-    p.add_argument("--q", type=exponent("q", 1), default=None,
+    p.add_argument("--q", type=above("q", 1), default=None,
                    help="lemmas 2.2, 4.3")
     p.add_argument("--domain", default=None, help="lemmas 4.2, 4.3")
     p.add_argument("--lam", default=None, choices=["identity", "rescaled", "warped"],
@@ -209,12 +224,12 @@ def build_parser():
     p = sub.add_parser("witness", help="total-unboundedness witness search")
     common(p, count=False)
     p.add_argument("--f", required=True)
-    p.add_argument("--targets", type=int, default=4)
+    p.add_argument("--targets", type=at_least("targets", 1), default=4)
     p.add_argument("--bound", type=float, default=1e3)
 
     p = sub.add_parser("density-demo", help="metric-small, witness-large demo")
     common(p)
-    p.add_argument("--q", type=exponent("q", 1), default=1.5)
+    p.add_argument("--q", type=above("q", 1), default=1.5)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--j", type=int, default=4)
     p.add_argument("--base", default="poly:z1^2+3")
@@ -223,7 +238,7 @@ def build_parser():
     common(p)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--q", type=exponent("q", 1, inf_ok=True), default=1.5)
+    p.add_argument("--q", type=above("q", 1, inf_ok=True), default=1.5)
     p.add_argument("--terms", type=int, default=20)
 
     p = sub.add_parser("reproduce", help="full acceptance suite, one CSV each")

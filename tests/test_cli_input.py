@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from hardylab import cli
+from hardylab import geometry
 
 BAD_FUNCTIONS = ["power:q=0;zeta=1,0", "cauchy:zeta=2,0", "power:q=-2;zeta=1,0",
                  "harmonic:n=2;y=1,0",
@@ -137,6 +138,37 @@ def test_metric_of_no_terms_is_a_usage_error(terms, tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert "--terms" in capsys.readouterr().err
     assert not out.exists()
+
+
+
+@pytest.mark.parametrize("targets", ["0", "-1"])
+def test_witness_of_no_targets_is_a_usage_error(targets, monkeypatch, tmp_path,
+                                                capsys):
+    monkeypatch.setattr(cli.ex, "totally_unbounded_witness",
+                        lambda *a: pytest.fail("the witness search ran"))
+    out = tmp_path / "witness.csv"
+    code = cli.run(["witness", "--f", "log:zeta=1,0", "--targets", targets,
+                    "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--targets" in err and "targets must be an integer >= 1" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--pairs", "0"), ("--pairs", "-2"), ("--pairs", "1.5"), ("--eta", "0"),
+    ("--eta", "-1"), ("--beta", "0"), ("--beta", "-1"),
+])
+def test_levi_check_flag_out_of_range_is_a_usage_error(flag, value, monkeypatch,
+                                                       tmp_path, capsys):
+    for name in ("check_levi_estimate", "levi_form_min_eigenvalue"):
+        monkeypatch.setattr(geometry, name, lambda *a, **kw: pytest.fail("ran"))
+    out = tmp_path / "levi.csv"
+    code = cli.run(["levi-check", flag, value, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{flag}: {value!r}: {flag[2:]} must be" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_level_scan_of_a_warped_domain_takes_the_thin_shell(tmp_path, capsys):

@@ -3,6 +3,7 @@ and the chunked, screened, threaded rejection loop of the thin-shell sampler."""
 
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -150,11 +151,16 @@ def test_a_failing_chunk_raises_after_every_chunk_has_stopped(monkeypatch):
     assert threading.active_count() == before
 
 
-def _shell_boundary_points(domain, eps, h, count, seed):
+def _shell_boundary_points(domain, eps, h, count, seed, through=None):
     """Points along random rays from the origin at which rho + eps is within
-    1e-13 of -h or of +h, by bisection on the sign of rho - target."""
+    1e-13 of -h or of +h, by bisection on the sign of rho - target.  The rays
+    pass through uniform points of the box ``through`` (lo, hi) when given."""
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((count, 2 * domain.n))
+    if through is None:
+        dirs = rng.standard_normal((count, 2 * domain.n))
+    else:
+        lo, hi = through
+        dirs = lo + (hi - lo) * rng.random((count, 2 * domain.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     rho = lambda t: domain.rho(to_complex(dirs * t[:, None]))
     out = []
@@ -187,6 +193,56 @@ def test_shell_screen_keeps_every_proposal_the_exact_test_accepts(domain, eps):
     # and the screen is a screen: it drops nearly all the raw misses
     missed = ~exact[:raw.shape[0]]
     assert np.count_nonzero(screen[:raw.shape[0]] & missed) <= 1e-3 * missed.sum()
+
+
+@pytest.mark.parametrize("domain", [WARP, RESCALED_WARP, WARPED_RESCALED,
+                                    WARP_TWICE, BALL, ELL],
+                         ids=lambda d: d.describe())
+@pytest.mark.parametrize("eps", [DEEP_EPS, 1e-9], ids=["deep", "floor"])
+@pytest.mark.parametrize("boxes", [{}, {"within": (E1, 0.2), "focus": E1}],
+                         ids=["whole-box", "lemma-3.1-boxes"])
+def test_shell_band_keeps_every_row_the_screen_keeps(domain, eps, boxes):
+    h = eps / quad.SHELL_EPS_DIVISOR
+    los, his = quad.shell_boxes(domain, eps, **boxes)
+    lo, hi = los[0], his[0]  # box 0 holds the others
+    raw = lo + (hi - lo) * rng_stream(5, 0x5C).random((1_000_000, lo.size))
+    edge = _shell_boundary_points(domain, eps, h, 20_000, 3, through=(lo, hi))
+    X = np.concatenate([raw, edge[np.all((edge >= lo) & (edge <= hi), axis=1)]])
+    s_lo, s_hi = quad.shell_band(domain, eps, h, los, his)
+    s = (X * X) @ np.repeat(domain.weights, 2)
+    band = (s >= s_lo) & (s <= s_hi)
+    screen = quad.shell_screen(X, domain, eps, h)
+    exact = np.abs(domain.rho(to_complex(X)) + eps) < h
+    assert exact[raw.shape[0]:].sum() > 10_000  # the boundary points test the edge
+    assert np.all(band[exact])
+    # the band, then the screen, keeps exactly the rows the screen keeps
+    assert np.array_equal(band & screen, screen)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_this_thread_takes_the_chunks_a_slow_pool_leaves(workers, monkeypatch):
+    monkeypatch.setattr(quad, "SHELL_MAX_WORKERS", workers)
+    monkeypatch.setattr(quad.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    main = threading.main_thread()
+    on_main = []  # one entry per chunk with accepted nodes
+
+    def grad_norm_slow_off_main(defining, Z):
+        here = threading.current_thread() is main
+        on_main.append(here)
+        if not here:
+            time.sleep(0.2)
+        return grad_norm(defining, Z)
+
+    monkeypatch.setattr(quad, "grad_norm", grad_norm_slow_off_main)
+    args = (WARP, 0.05, 8 * quad.SHELL_CHUNK_ROWS + 17, 11)
+    pts, w = _thin_shell_reference(*args)
+    before = threading.active_count()
+    s = quad.thin_shell_sampler(*args)
+    assert threading.active_count() == before
+    assert np.array_equal(s.points, pts)
+    assert np.array_equal(s.weights, w)
+    assert 0 < on_main.count(False) < on_main.count(True)
 
 
 def _strata_sampler(eps=0.05, count=4_000, seed=7):
