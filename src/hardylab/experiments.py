@@ -247,22 +247,25 @@ def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
 
 
 BISECT_TOL = 0.1     # bracket width at which the bisection stops
-BISECT_MAX_RUNS = 8  # verdicts per bisection at most
+BISECT_MAX_RUNS = 8  # scans per bisection at most
 
 
-def bisect_critical_exponent(verdict_fn, p_lo, p_hi):
-    """Bisection bracket of the smallest p with a divergent verdict.
+def bisect_critical_exponent(member_fn, p_lo, p_hi):
+    """Bisection bracket of the critical exponent, where the growth exponent
+    fitted to the scan of ``member_fn(p)`` (a Membership) changes sign.
 
-    Definite divergence moves the upper edge down; Bounded or Inconclusive
-    move the lower edge up (near the threshold, boundedness is not certifiable
-    at desk scale, so failure to diverge counts as the bounded side).
+    A positive fitted exponent (``norms.growth_exponent``) moves the upper
+    edge down; any other, NaN included, moves the lower edge up.  Unlike a
+    verdict, the fit reads the whole scan, so an exponent just above the
+    threshold, whose scan grows too slowly for either of ``classify``'s
+    fits, still counts as divergent.
     """
     lo, hi = float(p_lo), float(p_hi)
     for _ in range(BISECT_MAX_RUNS):
         if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if verdict_fn(mid).verdict.divergent:
+        if norms.growth_exponent(member_fn(mid).scan) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -270,14 +273,14 @@ def bisect_critical_exponent(verdict_fn, p_lo, p_hi):
 
 
 def verify_lemma_4_2(domain=None, cfg=None):
-    """Reciprocal Levi polynomial at zeta = (1, 0) on an ellipsoid: inside H^p
-    for p < n, divergent at p = 2n - 1; also brackets the empirical critical
+    """Reciprocal Levi polynomial at zeta = e_1 on an ellipsoid in C^n: inside
+    H^p for p < n, divergent at p = 2n - 1; also brackets the critical
     exponent."""
     cfg = cfg or norms.QuadConfig()
     domain = domain or parse_domain("ellipsoid:a=1,2")
     grid = norms.LEVEL_GRID
-    zeta = (1.0 + 0j, 0j)
     n = domain.n
+    zeta = _e1(n)
     f = fn.LeviReciprocal(domain, zeta)
     t0 = time.time()
 
@@ -294,13 +297,13 @@ def verify_lemma_4_2(domain=None, cfg=None):
 
 
 def verify_lemma_4_3(domain=None, q=1.5, cfg=None):
-    """Levi-power function h_q at zeta = (1, 0): inside H^p for p < q globally,
-    divergent at p = (2n-1)q/n when restricted to U = B(zeta, 0.4)."""
+    """Levi-power function h_q at zeta = e_1 in C^n: inside H^p for p < q
+    globally, divergent at p = (2n-1)q/n when restricted to U = B(zeta, 0.4)."""
     cfg = cfg or norms.QuadConfig()
     domain = domain or parse_domain("ellipsoid:a=1,2")
     grid = norms.LEVEL_GRID
-    zeta = (1.0 + 0j, 0j)
     n = domain.n
+    zeta = _e1(n)
     h = fn.LeviPower(domain, zeta, q)
     t0 = time.time()
     m_in = norms.membership_verdict(h, 0.8 * q, norms.LevelSurface(domain), grid, cfg)

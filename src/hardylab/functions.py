@@ -9,7 +9,8 @@ pairing expose a zonal form (``zonal_center`` / ``zonal_eval``) that the
 quadrature layer exploits; ``zonal_abs`` gives the modulus the norms
 integrate, for the power and log kernels in real arithmetic.  On level sets
 ``level_abs`` gives the modulus at points, for the Levi kernels of an
-unwarped quadric in real arithmetic.
+unwarped quadric in real arithmetic, and ``chart_abs`` from the first
+coordinates of points of C^2, where those kernels depend on z1 alone.
 """
 
 from __future__ import annotations
@@ -417,6 +418,28 @@ def level_abs(spec, Z):
     re += im
     s = 1.0 if isinstance(spec, LeviReciprocal) else spec.domain.n / spec.q
     return _power_modulus(re, 2.0, s)
+
+
+def chart_abs(spec, z1):
+    """|evaluate(spec, Z)| at points Z of C^2 whose first coordinates are
+    ``z1``, for a Levi kernel of an unwarped quadric whose pole
+    zeta = (zeta1, 0) has zeta1 > 0.
+
+    There Q = -2 d1 (z1 - zeta1) with d1 = drho(zeta)_1 real, so the
+    kernels' |Q|^-s = (4 d1^2 h2)^(-s/2), s = 1 or n/q, depend on z1 alone
+    through h2 = (zeta1 - Re z1)^2 + (Im z1)^2, even in z1 -> conj(z1) bit
+    for bit.  The same FunctionError as ``evaluate``'s is raised where
+    Re Q <= 0.
+    """
+    zeta1 = complex(spec.zeta[0]).real
+    d1 = spec.domain.dz(np.asarray(spec.zeta, dtype=complex))[0].real
+    h2 = zeta1 - z1.real
+    if np.any(h2 <= 0.0):  # Re Q = 2 d1 (zeta1 - Re z1)
+        raise FunctionError("outside zero-free region")
+    h2 *= h2
+    h2 += np.square(z1.imag)
+    s = 1.0 if isinstance(spec, LeviReciprocal) else spec.domain.n / spec.q
+    return _power_modulus(h2, 2.0 * d1, s)
 
 
 def _levi_pairing(d, zeta, Z):

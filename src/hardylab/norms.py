@@ -203,6 +203,51 @@ def _zonal_ok(fspec, surface, cfg):
     return np.allclose(np.asarray(ball.center), zc, atol=1e-12)
 
 
+def _chart_ok(fspec, surface, cfg):
+    """Whether point_integrals takes the disk chart (``_chart_integral``):
+    fast paths are on, the surface is a level set of an unwarped quadric in
+    C^2, f is a Levi kernel of an unwarped quadric with its pole
+    zeta = (zeta1, 0), zeta1 > 0, and any restriction is a ball centered at
+    zeta on a domain with a1 <= a2, where the ball cuts one radial interval
+    per angle of the chart."""
+    if cfg.force_mc or not isinstance(surface, LevelSurface):
+        return False
+    domain = surface.domain
+    if domain.warps or domain.n != 2:
+        return False
+    if not isinstance(fspec, (fn.LeviReciprocal, fn.LeviPower)) or fspec.domain.warps:
+        return False
+    zeta = np.asarray(fspec.zeta, dtype=complex)
+    if zeta.size != 2 or zeta[1] != 0 or zeta[0].imag != 0 or not zeta[0].real > 0:
+        return False
+    ball = surface.restrict
+    if ball is None:
+        return True
+    return domain.a[0] <= domain.a[1] and np.allclose(np.asarray(ball.center), zeta,
+                                                      atol=1e-12)
+
+
+def _chart_integral(fspec, ps, surface, eps):
+    """(estimates, area factor) of the level set {rho = -eps} on the disk
+    chart (``quadrature.quadric_chart``).
+
+    On a quadric the level set is R times S = {a1 |z1|^2 + a2 |z2|^2 = 1},
+    R = sqrt(1 - eps / c), so its integral is R^3 times that of
+    |f(R z)|^p over S, restricted to B(zeta / R, r / R) for a ball B(zeta, r).
+    The Levi kernel depends on z1 alone, and |f| is even in z1 -> conj(z1),
+    so the chart's folded nodes carry it."""
+    _, eps_eff = level_weights(surface.domain, eps)
+    R = math.sqrt(1.0 - eps_eff)
+    ball = surface.restrict
+    if ball is not None:
+        ball = (complex(fspec.zeta[0]).real / R, ball.radius / R)
+    rule = quad.quadric_chart(surface.domain.a, ball)
+    if rule is None:  # the ball misses the level set
+        return quad.IntegralEstimate(0.0, 0.0, 0, "exact-empty"), 1.0
+    gt = lambda z1: _powers(fn.chart_abs(fspec, R * z1), ps)
+    return quad.integrate_zonal(gt, 2, even=True, rule=rule), R ** 3
+
+
 def _powers(a, ps):
     """The (P, N) stack of a ** p over the exponents ``ps``, raised one scalar
     exponent at a time so each row is bit for bit the one-exponent integrand."""
@@ -306,6 +351,8 @@ def point_integrals(fspec, ps, surface, xval, cfg, k=0):
         ests, factor = _harmonic_integral(fspec, ps, surface, x)
     elif _zonal_ok(fspec, surface, cfg):
         ests, factor = _zonal_integral(fspec, ps, surface, x)
+    elif _chart_ok(fspec, surface, cfg):
+        ests, factor = _chart_integral(fspec, ps, surface, x)
     elif isinstance(surface, LevelSurface):
         ests, factor = _level_mc(fspec, ps, surface, x, cfg, _point_seed(cfg, k)), 1.0
     elif isinstance(surface, (SphereSurface, CapSurface)):
@@ -509,6 +556,52 @@ def classify(sc):
                              note="neither fit accepted and tail still rising")
 
 
+GROWTH_ALPHAS = np.linspace(-3.0, 3.0, 601)  # the first grid of growth_exponent
+GROWTH_REFINE = 3      # finer grids, each over the two cells around the best
+GROWTH_REL_FLOOR = 1e-3  # a residual's scale is at least this share of I
+
+
+def growth_exponent(sc):
+    """The growth exponent alpha of the model I_k = A + B (2^(alpha k) - 1) /
+    alpha (B k ln 2 at alpha = 0), fitted to a scan's usable points by
+    variable projection: for each alpha on a grid, (A, B) solve the linear
+    least squares with residual weights 1 / max(stderr, GROWTH_REL_FLOOR I),
+    and alpha minimizes the weighted residual, refined on GROWTH_REFINE
+    finer grids.  I_k grows like 2^((p - n) k), so alpha > 0 means
+    divergence.  An overflowing scan gives +inf, a scan with fewer than
+    three usable points NaN."""
+    if sc.has_overflow():
+        return math.inf
+    mask = sc.usable_mask()
+    if mask.sum() < 3:
+        return math.nan
+    k = sc.grid.ks()[mask].astype(float)
+    y = sc.values[mask]
+    w = 1.0 / np.maximum(sc.stderrs[mask], GROWTH_REL_FLOOR * np.abs(y))
+
+    def residuals(alphas):
+        """The weighted residual of the best (A, B) at each alpha: the
+        normal equations of the columns w and w e against w y."""
+        al = alphas[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = w * np.where(al == 0.0, k * LN2, np.expm1(al * k * LN2) / al)
+        v = w * y
+        s00, s01, s11 = np.sum(w * w), e @ w, np.sum(e * e, axis=1)
+        t0, t1 = np.sum(w * v), e @ v
+        det = s00 * s11 - s01 * s01
+        A = (s11 * t0 - s01 * t1) / det
+        B = (s00 * t1 - s01 * t0) / det
+        return np.sum((A[:, None] * w + B[:, None] * e - v) ** 2, axis=1)
+
+    alphas = GROWTH_ALPHAS
+    for _ in range(GROWTH_REFINE + 1):
+        i = int(np.argmin(residuals(alphas)))
+        lo, hi = alphas[max(i - 1, 0)], alphas[min(i + 1, alphas.size - 1)]
+        best = alphas[i]
+        alphas = np.linspace(lo, hi, 101)
+    return float(best)
+
+
 # ---------------------------------------------------------------------------
 # Membership and named scan variants
 # ---------------------------------------------------------------------------
@@ -564,8 +657,13 @@ def local_scan_ball(fspec, p, center, radius, grid=None, cfg=None, complement=Fa
 
 def level_scan_domain(fspec, p, domain, grid=None, cfg=None, restrict=None):
     """Scan of level-set integrals of |f|^p over {rho = -eps}, optionally
-    restricted to an open set U.  The rule is the parametrized one where
-    ``level_weights`` scales the level to a quadric, else the thin shell."""
+    restricted to an open set U.  The surface names the parametrized rule
+    where ``level_weights`` scales the level to a quadric, else the thin
+    shell, and ``point_integrals`` replaces it by a deterministic rule where
+    one applies: the zonal rule on a ball's level spheres (``_zonal_ok``),
+    the disk chart for a Levi kernel on a quadric of C^2 (``_chart_ok``).
+    The parametrized rule is ring-strata Monte Carlo, for the rest and
+    under ``force_mc``."""
     method = "thin-shell" if domain.warps else "parametrized"
     surface = LevelSurface(domain, method=method, restrict=restrict)
     return scan(fspec, p, grid or LEVEL_GRID, surface, cfg)

@@ -360,8 +360,15 @@ def _half_disk(n, c, complement):
     inside, which ascend already, and every node and weight comes from the
     same elementwise operations, in the same order, as a build of that angle
     alone."""
+    return _disk_blocks(n, c, lambda theta: _radial_limits(theta, c, complement))
+
+
+def _disk_blocks(n, c, limits):
+    """The half-disk rule on the angles of ``_theta_nodes(c)``, each on the
+    radial range [lo, hi] that ``limits(theta)`` gives with whether it is
+    kept, built as ``_half_disk`` describes."""
     theta, wtheta = _theta_nodes(c)
-    lo, hi, keep = _radial_limits(theta, c, complement)
+    lo, hi, keep = limits(theta)
     theta, wtheta, lo, hi = theta[keep], wtheta[keep], lo[keep], hi[keep]
     lam_parts, w_parts = [np.zeros(0, dtype=complex)], [np.zeros(0)]
     for i in range(0, theta.size, ZONAL_BUILD_BLOCK):
@@ -438,13 +445,107 @@ def _zonal_calibration(n):
     return sphere_area(n) / mass
 
 
-def integrate_zonal(gt, n, c=-1.0, complement=False, even=False):
+def _quadric_ball_limits(theta, a, zeta1, radius):
+    """Radial |lam|-ranges [lo, hi] of the region of ``quadric_chart``'s
+    cut, one per angle theta, and whether each is non-empty.  In x = t |lam|
+    the ball is A x^2 - 2 B x + C < 0 with B = zeta1 cos(theta), an interval
+    between the roots q / A and C / q, q = B + sign(B) sqrt(B^2 - A C) (a
+    half-line when A = 0), cut to [0, X]; x maps back to
+    |lam| = x sqrt(a2 / (1 - (a1 - a2) x^2))."""
+    a1, a2 = a
+    A = 1.0 - a1 / a2
+    C = zeta1 * zeta1 + 1.0 / a2 - radius * radius
+    X = math.sqrt(1.0 / a1)
+    B = zeta1 * np.cos(theta)
+    D = B * B - A * C
+    with np.errstate(divide="ignore", invalid="ignore"):  # A = 0, D < 0: no root
+        q = B + np.copysign(np.sqrt(D), B)
+        x_lo = np.maximum(np.minimum(q / A, C / q), 0.0)
+        x_hi = np.minimum(np.maximum(q / A, C / q), X)
+        radius_of = lambda x: x * np.sqrt(a2 / (1.0 - (a1 - a2) * x * x))
+        lo = np.where(x_lo > 0.0, radius_of(x_lo), 0.0)
+        hi = np.where(x_hi < X, np.minimum(radius_of(x_hi), 1.0), 1.0)
+        return lo, hi, (x_lo < x_hi) & (lo < hi)  # a NaN root keeps nothing
+
+
+def _chart_rule(a, lam, w):
+    """The folded chart rule of {a1 |z1|^2 + a2 |z2|^2 = 1} from a folded
+    disk rule (lam, w) of n = 2: nodes z1 = t lam and weights
+    w t^3 |grad rho| / d_t rho = w sqrt(a1^2 u + a2^2 (1 - u)) / s^(5/2),
+    with u = |lam|^2, s = a1 u + a2 (1 - u) and t = s^(-1/2)."""
+    a1, a2 = a
+    u = lam.real ** 2 + lam.imag ** 2
+    s = a2 + (a1 - a2) * u
+    t = 1.0 / np.sqrt(s)
+    z1 = lam * t
+    w = w * np.sqrt(a2 * a2 + (a1 * a1 - a2 * a2) * u) * t ** 5
+    z1.flags.writeable = False
+    w.flags.writeable = False
+    return z1, w
+
+
+@lru_cache(maxsize=8)
+def _whole_chart(a):
+    """The cached chart rule of the whole surface, from the whole-disk fold."""
+    return _chart_rule(a, *_zonal_fold(2, -1.0, False))
+
+
+def quadric_chart(a, ball=None):
+    """The disk chart of the quadric surface S = {a1 |z1|^2 + a2 |z2|^2 = 1}
+    of C^2, as a folded rule for ``integrate_zonal(rule=...)``: its nodes are
+    the first coordinates z1 of points of S, even under z1 -> conj(z1), and
+    its weights the surface measure, so it integrates any g(z1) over S.
+    ``ball`` = (zeta1, radius), zeta1 > 0, restricts S to the open ball
+    B((zeta1, 0), radius), then with a1 <= a2; None when the ball misses S.
+
+    The chart writes S as the radial graph t theta, with
+    theta = (lam, sqrt(1 - |lam|^2)) for lam in the unit disk,
+    t = s^(-1/2) and s = a1 |lam|^2 + a2 (1 - |lam|^2), and the
+    radial-graph form of the coarea formula gives the surface measure
+        t^3 |grad rho| / d_t rho dsigma(theta),
+    with |grad rho| / d_t rho = sqrt(a1^2 |lam|^2 + a2^2 (1 - |lam|^2)) / s
+    and dsigma = 2 pi dA(lam) after the circle of z2's phase: the zonal disk
+    rule of n = 2 carries it (``_chart_rule``).  The whole surface takes the
+    cached whole-disk rule.  The ball is the region
+    {t^2 - 2 zeta1 t Re lam + zeta1^2 < radius^2} of the disk; in
+    x = t |lam| = |z1| it reads A x^2 - 2 zeta1 cos(arg lam) x + C < 0, with
+    A = 1 - a1 / a2 >= 0 and C = zeta1^2 + 1 / a2 - radius^2, for x in
+    [0, X], X = a1^(-1/2): one radial interval per angle
+    (``_quadric_ball_limits``).  Its angular panels take an edge where the
+    cut meets |lam| = 1, at cos = (X^2 + zeta1^2 - radius^2) / (2 X zeta1),
+    graded toward it as ``_theta_nodes`` grades a zonal cut, and its radial
+    ranges are built as ``_half_disk`` builds them.  The farthest point of S
+    from (zeta1, 0) is (-X, 0) and the nearest lies at arg lam = 0, so a
+    ball that holds all of S takes the whole rule.  A cut rule is built
+    anew on each call.
+    """
+    a = tuple(float(aj) for aj in a)
+    if ball is None:
+        return _whole_chart(a)
+    zeta1, radius = ball
+    a1, a2 = a
+    X = math.sqrt(1.0 / a1)
+    if X + zeta1 < radius:
+        return _whole_chart(a)
+    A = 1.0 - a1 / a2
+    x = X if A * X <= zeta1 else zeta1 / A  # the nearest point's |z1|
+    if A * x * x - 2.0 * zeta1 * x + zeta1 * zeta1 + 1.0 / a2 >= radius * radius:
+        return None
+    edge = (X * X + zeta1 * zeta1 - radius * radius) / (2.0 * X * zeta1)
+    limits = lambda theta: _quadric_ball_limits(theta, a, zeta1, radius)
+    lam, w = _disk_blocks(2, edge, limits)
+    return _chart_rule(a, lam, 2.0 * (w * _zonal_calibration(2)))
+
+
+def integrate_zonal(gt, n, c=-1.0, complement=False, even=False, rule=None):
     """Deterministic quadrature of z -> gt(<z, zeta>) over the unit sphere of C^n.
 
     ``gt`` must be vectorized over a complex array of pairings with |lam| <= 1.
     The integral runs over {Re lam > c}, or its complement with
     ``complement``: the zonal images of a metric cap around zeta and of its
-    complement.  The default c = -1 is the whole sphere.
+    complement.  The default c = -1 is the whole sphere.  A ``rule`` in the
+    folded form of the cache, such as ``quadric_chart``'s, replaces the
+    cached rule of (c, complement): gt then reads that rule's nodes.
 
     The estimate's stderr is 0, but the value is not exact: against the
     closed-form ball values (2F1), a zonal value is exact to about 1e-8
@@ -465,7 +566,7 @@ def integrate_zonal(gt, n, c=-1.0, complement=False, even=False):
     the cached arrays as they are, and any other gt gets the full rule
     rebuilt from them on each call (``_unfold``), the same bit for bit.
     """
-    lam, w = _zonal_fold(n, float(c), complement)
+    lam, w = rule or _zonal_fold(n, float(c), complement)
     if not even:
         lam, w = _unfold(lam, w)
         return reduce_nodes(w, gt(lam), "zonal")

@@ -130,6 +130,19 @@ class TestCommands:
         assert out.read_text().splitlines() == [
             "# hardylab-csv v1", ",".join(cli.CSV_HEADER), *rows]
 
+    @pytest.mark.parametrize("lemma, ps", [("4.2", [1.5, 5.0]), ("4.3", [1.2, 2.5])])
+    @pytest.mark.parametrize("domain", ["ellipsoid:a=1,2,3", "ball:n=3"])
+    def test_levi_lemmas_run_in_c3(self, lemma, ps, domain, tmp_path, capsys):
+        # the pole is e_1 in C^3 and p = 2n - 1, (2n - 1)q/n read n = 3; at
+        # 2000 Monte Carlo nodes the ellipsoid's verdicts may be Inconclusive
+        out = tmp_path / "lemma.csv"
+        code = run(["lemma", "--id", lemma, "--domain", domain, "--count", "2000",
+                    "--seed", "7", "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE)
+        assert "error" not in capsys.readouterr().err
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [float(r["p"]) for r in rows] == pytest.approx(ps)
+
     def test_metric_command(self, capsys):
         code = run(["metric", "--f", "power:q=1.5;zeta=1,0", "--g", "const:1",
                     "--q", "1.5", "--terms", "6", "--seed", "7"])

@@ -3,6 +3,9 @@ attributes at run time (perfbench/spans.py).  A refactor that calls a local
 alias instead would silently empty its per-layer metrics; this keeps every
 wrapped rule on the call path of each golden point integral."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 from test_reduction import GOLDEN
 
@@ -25,6 +28,8 @@ EXPECTED = {
     "zonal-cap": ("integrate_zonal",),
     "zonal-complement": ("integrate_zonal",),
     "zonal-level": ("integrate_zonal",),
+    "chart-level": ("integrate_zonal",),
+    "chart-restricted": ("integrate_zonal",),
     "real-zonal": ("integrate_real_zonal",),
     "exact-empty": ("integrate_real_zonal",),
     "mc-sphere": ("integrate_sphere",),
@@ -57,3 +62,11 @@ def test_wrapped_entry_points_are_called(name, monkeypatch):
     fspec, p, surface, x, cfg, *_ = GOLDEN[name]
     norms.point_integral(fspec, p, surface, x, cfg, k=3)
     assert sorted(calls) == sorted(EXPECTED[name])
+
+
+def test_every_golden_method_has_a_perfbench_key(monkeypatch):
+    # a traced pass counts each point integral under norms.method.<method>,
+    # a key spans.METHODS makes: any other method raises KeyError there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    assert {case[5] for case in GOLDEN.values()} <= set(spans.METHODS)

@@ -111,6 +111,16 @@ class TestBallEllipsoidConsistency:
         assert 1.9 <= 0.5 * (lo + hi) <= 2.1
         assert rep.passed
 
+    @pytest.mark.parametrize("domain", ["ball:n=2", "ellipsoid:a=1,1",
+                                        "ellipsoid:a=1,2"])
+    def test_critical_exponent_bracket_contains_n(self, domain):
+        # every spelling scans on a deterministic rule (zonal or the chart),
+        # and the bracket of the fitted growth exponent holds n = 2
+        rep = ex.verify_lemma_4_2(domain=geo.parse_domain(domain), cfg=CFG)
+        lo, hi = map(float, rep.extras["critical_exponent_bracket"][1:-1].split(","))
+        assert lo < 2.0 < hi
+        assert hi - lo <= ex.BISECT_TOL
+
     def test_radial_and_level_routes_agree(self):
         # same verdicts for the Cauchy kernel through both scan routes
         dom = geo.Quadric((1.0, 1.0))

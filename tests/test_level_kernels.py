@@ -3,7 +3,9 @@
 ``functions.level_abs`` is checked against the modulus of the complex
 ``evaluate`` on the nodes of both level-set rules, for the reciprocal and the
 power kernel; it raises where ``evaluate`` raises and falls back to
-``evaluate`` bit for bit for every other spec.  ``quadrature.inside_only``'s
+``evaluate`` bit for bit for every other spec.  ``functions.chart_abs``, its
+sibling on the disk chart of a level set in C^2, is checked against
+``level_abs`` at the chart's points.  ``quadrature.inside_only``'s
 real squared-distance test is checked against the complex norm test.
 """
 
@@ -59,6 +61,26 @@ def test_level_abs_raises_where_evaluate_raises(text):
                 f(spec, Z)
             raised.append([_raises(f, spec, z) for z in Z[:, None, :]])
         assert raised[0] == raised[1] and 0 < sum(raised[0]) < len(Z)
+
+
+@pytest.mark.parametrize("text", DOMAINS[:2])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_chart_abs_is_level_abs_on_the_chart(text, scale):
+    # the level sets' points on the nodes of the whole chart; the scale 2
+    # takes some of them out of the zero-free region
+    z1 = quad.quadric_chart((1.0, 2.0))[0]
+    for spec in _kernels(text):
+        for eps in EPS:
+            Z = np.sqrt(1.0 - eps / spec.domain.c) * np.stack(
+                [z1, np.sqrt((1.0 - np.abs(z1) ** 2) / 2.0)], axis=-1)
+            Z *= scale
+            if scale > 1.0:
+                for f, arg in ((fn.level_abs, Z), (fn.chart_abs, Z[:, 0])):
+                    with pytest.raises(fn.FunctionError, match="zero-free region"):
+                        f(spec, arg)
+                continue
+            got = fn.chart_abs(spec, Z[:, 0])
+            assert np.max(np.abs(got / fn.level_abs(spec, Z) - 1.0)) <= REL
 
 
 def _raises(f, spec, Z):

@@ -282,7 +282,8 @@ def test_cached_strata_arrays_are_read_only():
 
 def test_lemma_4_2_builds_each_grid_rule_once():
     grid = norms.LEVEL_GRID
-    cfg = norms.QuadConfig(count=2_000)
+    # force_mc: the ring strata, not the disk chart the lemma takes by default
+    cfg = norms.QuadConfig(count=2_000, force_mc=True)
     strata_cache.cache_clear()
     report = ex.verify_lemma_4_2(cfg=cfg)
     assert "critical_exponent_bracket" in report.extras

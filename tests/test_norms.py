@@ -134,6 +134,21 @@ class TestClassify:
         assert "overflow" in v.note
 
 
+class TestGrowthExponent:
+    @pytest.mark.parametrize("alpha", [-0.5, -0.03, 0.0, 0.04, 1.0])
+    def test_recovers_the_model_exponent(self, alpha):
+        k = np.arange(2, 15)
+        growth = k * math.log(2) if alpha == 0 else np.expm1(alpha * k * math.log(2)) / alpha
+        sc = synthetic_scan(3.0 + 0.7 * growth, k_min=2)
+        assert norms.growth_exponent(sc) == pytest.approx(alpha, abs=1e-4)
+
+    def test_overflow_is_divergent_and_too_few_points_undecided(self):
+        sc = synthetic_scan(2.0 ** (0.5 * np.arange(2, 14)))
+        sc.flags[-1] = "overflow"
+        assert norms.growth_exponent(sc) == math.inf
+        assert math.isnan(norms.growth_exponent(synthetic_scan([1.0, 2.0])))
+
+
 class TestMembershipExamples:
     @pytest.mark.parametrize("p,expected", [(1.5, "In"), (2.0, "Out")])
     def test_cauchy(self, p, expected):

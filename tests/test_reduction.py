@@ -63,6 +63,12 @@ GOLDEN = {
     "zonal-level": (fn.Cauchy(E1), 2.0,
                     norms.LevelSurface(BALL, restrict=norms.OpenBall(E1, 0.5)),
                     0.05, DET, "zonal", 28.302797777222604, 0.0, 204672),
+    # the disk chart of a quadric's level set, whole and cut by U, on the
+    # zonal rule of n = 2
+    "chart-level": (LEVI, 1.5, norms.LevelSurface(ELL), 0.05, DET, "zonal",
+                    6.535757791081195, 0.0, 215168),
+    "chart-restricted": (LEVI, 1.5, norms.LevelSurface(ELL, restrict=U04), 0.05,
+                         DET, "zonal", 1.6808024941467663, 0.0, 204672),
     "real-zonal": (H3, 1.5, norms.RealLevelSurface(3), 0.05, DET,
                    "real-zonal", 15.262565003414103, 0.0, 1020),
     "exact-empty": (H3, 1.5,
