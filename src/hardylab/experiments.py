@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -192,9 +192,9 @@ def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
     if lam_kind == "identity":
         lam_domain = domain
     elif lam_kind == "rescaled":
-        lam_domain = parse_domain(f"rescaled:base={domain.describe()};c=2")
+        lam_domain = replace(domain, c=2.0)
     elif lam_kind == "warped":
-        lam_domain = parse_domain(f"warped:base={domain.describe()};u=x1")
+        lam_domain = replace(domain, warps=1)
     else:
         raise norms.NormError(f"unknown lambda kind {lam_kind!r}")
 

@@ -71,21 +71,18 @@ class Quadric:
 
     ``c`` rescales the defining function and ``warps`` counts the factors
     exp(Re z_1) that lemma 3.1 compares defining functions with; neither
-    moves the boundary.  ``ball`` marks the unit ball spelled "ball:n=N",
-    whose weights are all 1 and whose Levi polynomial the zonal path reads.
+    moves the boundary.  ``ball`` is read from the weights: all 1 is the
+    unit ball, however it was spelled.
     """
 
     a: tuple
     c: float = 1.0
     warps: int = 0
-    ball: bool = False
 
     def __post_init__(self):
         a = tuple(float(aj) for aj in self.a)
         if not a or not all(0 < aj < math.inf for aj in a):
             raise GeometryError("quadric weights must be positive and finite")
-        if self.ball and any(aj != 1.0 for aj in a):
-            raise GeometryError("the unit ball has unit weights")
         if not 0 < self.c < math.inf:
             raise GeometryError("rescale factor must be positive and finite")
         if self.warps != int(self.warps) or self.warps < 0:
@@ -97,6 +94,10 @@ class Quadric:
     @property
     def n(self):
         return len(self.a)
+
+    @property
+    def ball(self):
+        return all(aj == 1.0 for aj in self.a)
 
     @property
     def weights(self):
@@ -160,7 +161,8 @@ class Quadric:
 
     def describe(self):
         """The one spelling of the domain: the rescaling outermost, then the
-        warps, then the ball or ellipsoid; ``parse_domain`` reads it back."""
+        warps, then the ball (every weight 1) or ellipsoid; ``parse_domain``
+        reads it back."""
         text = (f"ball:n={self.n}" if self.ball
                 else "ellipsoid:a=" + ",".join(map(_number, self.a)))
         for _ in range(self.warps):
@@ -248,7 +250,7 @@ def parse_domain(text):
         c = math.prod(float(x) for x in got.get("c", ()))
     except ValueError as exc:
         raise GeometryError(f"domain {text!r}: {exc}") from None
-    return Quadric(a, c, warps=len(got.get("u", ())), ball=kind == "ball")
+    return Quadric(a, c, warps=len(got.get("u", ())))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,8 @@ class CapSurface:
         if len(self.center) != self.n:
             raise NormError(f"cap center has {len(self.center)} coordinates, "
                             f"expected n = {self.n}")
+        if not abs(np.linalg.norm(np.asarray(self.center, dtype=complex)) - 1.0) <= 1e-9:
+            raise NormError("cap center must lie on the unit sphere")
 
     def describe(self):
         side = "complement" if self.complement else "cap"
@@ -126,13 +128,14 @@ class CapSurface:
 
 @dataclass(frozen=True)
 class LevelSurface:
+    """The level sets {rho = -eps} of a domain, restricted to U if given."""
+
     domain: object
-    method: str = "parametrized"
     restrict: OpenBall = None
 
     def describe(self):
         u = ";U" if self.restrict is not None else ""
-        return f"level:{self.domain.describe()};{self.method}{u}"
+        return f"level:{self.domain.describe()}{u}"
 
 
 @dataclass(frozen=True)
@@ -190,8 +193,7 @@ def _zonal_ok(fspec, surface, cfg):
     if zc is None or cfg.force_mc:
         return False
     if isinstance(surface, LevelSurface):
-        domain = surface.domain  # spheres: all weights 1
-        if domain.warps or np.any(domain.weights != 1.0):
+        if surface.domain.warps or not surface.domain.ball:
             return False
     elif not isinstance(surface, (SphereSurface, CapSurface)):
         return False
@@ -276,7 +278,7 @@ def _zonal_integral(fspec, ps, surface, x):
     gt = lambda lam: _powers(fn.zonal_abs(fspec, R * lam), ps)
     if not -1.0 < c < 1.0:  # the ball holds all of the sphere or none of it
         if (c <= -1.0) == complement:  # the region is empty
-            return quad.IntegralEstimate(0.0, 0.0, 0, "zonal"), factor
+            return quad.IntegralEstimate(0.0, 0.0, 0, "exact-empty"), factor
         c, complement = -1.0, False  # the whole sphere: one cached rule
     return quad.integrate_zonal(gt, n, c, complement,
                                 even=fn.conjugation_even(fspec)), factor
@@ -307,14 +309,14 @@ def _sphere_mc(fspec, ps, surface, r, cfg, seed):
 
 
 def _level_mc(fspec, ps, surface, eps, cfg, seed):
-    """Level-set rule of the surface's method, restricted to U if given."""
+    """Level-set Monte Carlo on U if given: thin shell if warped, else ring strata."""
     g = lambda Z: _powers(fn.level_abs(fspec, Z), ps)
     U, _ = _region(surface)
     centers = [np.asarray(c, dtype=complex) for c in fn.singular_points(fspec)]
-    count = (cfg.thin_shell_proposals if surface.method == "thin-shell"
-             else cfg.count)
+    method, count = (("thin-shell", cfg.thin_shell_proposals) if surface.domain.warps
+                     else ("parametrized", cfg.count))
     return quad.integrate_level_set(
-        g, surface.domain, eps, method=surface.method, count=count, seed=seed,
+        g, surface.domain, eps, method=method, count=count, seed=seed,
         within=(U.center, U.radius) if U is not None else None,
         singular_center=centers[0] if centers else None)
 
@@ -426,8 +428,10 @@ class NormScan:
         return any(f == "overflow" for f in self.flags)
 
     def describe(self):
+        """f, p, the surface and the rules the points took, first seen first."""
+        rules = ",".join(dict.fromkeys(m for m in self.methods if m))
         return (f"scan(f={fn.describe(self.fspec)}, p={self.p:g}, "
-                f"surface={self.surface.describe()})")
+                f"surface={self.surface.describe()}, rule={rules})")
 
 
 def scans(fspec, ps, grid, surface, cfg=None):
@@ -657,16 +661,10 @@ def local_scan_ball(fspec, p, center, radius, grid=None, cfg=None, complement=Fa
 
 def level_scan_domain(fspec, p, domain, grid=None, cfg=None, restrict=None):
     """Scan of level-set integrals of |f|^p over {rho = -eps}, optionally
-    restricted to an open set U.  The surface names the parametrized rule
-    where ``level_weights`` scales the level to a quadric, else the thin
-    shell, and ``point_integrals`` replaces it by a deterministic rule where
-    one applies: the zonal rule on a ball's level spheres (``_zonal_ok``),
-    the disk chart for a Levi kernel on a quadric of C^2 (``_chart_ok``).
-    The parametrized rule is ring-strata Monte Carlo, for the rest and
-    under ``force_mc``."""
-    method = "thin-shell" if domain.warps else "parametrized"
-    surface = LevelSurface(domain, method=method, restrict=restrict)
-    return scan(fspec, p, grid or LEVEL_GRID, surface, cfg)
+    restricted to an open set U.  ``point_integrals`` picks each level's
+    rule from the domain: the zonal rule on a ball (``_zonal_ok``), the disk
+    chart for a Levi kernel in C^2 (``_chart_ok``), else ``_level_mc``."""
+    return scan(fspec, p, grid or LEVEL_GRID, LevelSurface(domain, restrict), cfg)
 
 
 def harmonic_scan(y, p, n, grid=None, cfg=None, restrict=None):

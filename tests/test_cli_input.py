@@ -119,7 +119,12 @@ def test_reproduce_list_outside_its_ids_is_a_usage_error(flags, tmp_path, capsys
     (["--center", "1,0", "--radius", "-1"], "radius -1"),
     (["--center", "1,0", "--radius", "0"], "radius 0"),
     (["--center", "1,0,0", "--radius", "0.5"], "3 coordinates"),
-], ids=["negative-radius", "zero-radius", "center-of-n3"])
+    # off the unit sphere: the caps of S cap B((2, 0), 0.5) and of
+    # S cap B((0.5, 0), 0.5) are empty, not the cap about (1, 0)
+    (["--center", "2,0", "--radius", "0.5"], "unit sphere"),
+    (["--center", "0.5,0", "--radius", "0.5"], "unit sphere"),
+], ids=["negative-radius", "zero-radius", "center-of-n3", "center-outside",
+        "center-inside"])
 def test_a_cap_local_cannot_mean_is_a_usage_error(cap, names, tmp_path, capsys):
     out = tmp_path / "local.csv"
     code = cli.run(["local", "--f", "cauchy:zeta=1,0", "--p", "2", *cap,
@@ -183,6 +188,15 @@ def test_level_scan_of_a_warped_domain_takes_the_thin_shell(tmp_path, capsys):
     assert not any("failed:" in r or "truncated" in r for r in rows)
 
 
+def test_level_scan_prints_the_rule_it_took(tmp_path, capsys):
+    # a Levi kernel on the ellipsoid takes the disk chart, a zonal rule
+    code = cli.run(["scan", "--f", "levi:domain=ellipsoid:a=1,2;zeta=1,0", "--p",
+                    "1.5", "--surface", "level", "--domain", "ellipsoid:a=1,2",
+                    "--kmax", "2", "--out", str(tmp_path / "scan.csv")])
+    assert code in (cli.EXIT_OK, cli.EXIT_INCONCLUSIVE)
+    assert "surface=level:ellipsoid:a=1,2, rule=zonal)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("lemma", ["4.2", "4.3"])
 def test_lemma_on_a_warped_domain_is_a_usage_error(lemma, monkeypatch, capsys):
     # the verification must not run: its scans on a warped domain all fail
@@ -206,7 +220,9 @@ def test_count_on_a_thin_shell_level_scan_is_a_usage_error(tmp_path, capsys):
 
 
 def test_warped_lemma_3_1_still_reads_count(monkeypatch):
-    # its rho side scans a parametrized level, whose node budget --count sets
+    # no scan of lemma 3.1 reads --count (its rho side takes the disk chart,
+    # its warped lambda side the thin shell); this pins only that the flag
+    # reaches cfg, as the level-sets benchmark passes it
     seen = {}
 
     def recorder(cfg, lam_kind):

@@ -119,3 +119,24 @@ def test_restricted_chart_8_and_10_node_rules_agree(monkeypatch):
         quad._whole_chart.cache_clear()
     for a, b in zip(eight, ten):
         assert np.max(np.abs(a / b - 1.0)) < REL
+
+
+@pytest.mark.parametrize("r", [None, 0.2, 0.4 / np.sqrt(2.0), 0.6])
+def test_chart_of_equal_weights_is_the_scaled_ball(r):
+    # a = (2, 2) is the ball scaled by 2^-1/2: z = w / sqrt(2) takes
+    # zeta = (2^-1/2, 0) to e1, Q(z, zeta) = 1 - w1 to the ball's, B(zeta, r)
+    # to B(e1, sqrt(2) r), and the level set's area by 2^-3/2; the chart takes
+    # its A = 0 half-lines
+    grid = norms.ApproachGrid("level", 0, 14)
+    ps = (1.5, 3.0)
+    ell, ball = geo.Quadric((2.0, 2.0)), geo.Quadric((1.0, 1.0))
+    zeta = (2.0 ** -0.5 + 0j, 0j)
+    U = None if r is None else norms.OpenBall(zeta, r)
+    V = None if r is None else norms.OpenBall(E1, np.sqrt(2.0) * r)
+    chart = norms.scans(fn.LeviReciprocal(ell, zeta), ps, grid,
+                        norms.LevelSurface(ell, U), DET)
+    zonal = norms.scans(fn.LeviReciprocal(ball, E1), ps, grid,
+                        norms.LevelSurface(ball, V), DET)
+    for c, z in zip(chart, zonal):
+        assert c.methods == z.methods == ["zonal"] * len(grid.ks())
+        assert np.max(np.abs(c.values / (2.0 ** -1.5 * z.values) - 1.0)) < REL

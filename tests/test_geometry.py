@@ -31,8 +31,7 @@ def test_hermitian_conjugate_symmetry(zs, ws):
 
 
 # ball and ellipsoid x c x warps, described and parsed back
-QUADRICS = [geo.Quadric(a, c, warps, ball)
-            for a, ball in (((1.0, 1.0), True), ((1.0, 2.0), False))
+QUADRICS = [geo.Quadric(a, c, warps) for a in ((1.0, 1.0), (1.0, 2.0))
             for c in (1.0, 0.5, 0.1234567) for warps in (0, 1, 2)]
 
 
@@ -50,6 +49,13 @@ def test_parse_roundtrip(domain, expected):
     if expected is not None:
         assert domain.describe() == expected
     assert geo.parse_domain(domain.describe()) == domain
+
+
+def test_unit_weights_are_the_ball_however_spelled():
+    ell = geo.parse_domain("ellipsoid:a=1,1")
+    assert ell == geo.parse_domain("ball:n=2") and ell.ball
+    assert ell.describe() == "ball:n=2"
+    assert not ELL.ball
 
 
 @pytest.mark.parametrize("text", [

@@ -18,9 +18,9 @@ from hardylab.geometry import (Quadric, box_halfwidths, grad_norm, rng_stream,
 ELL = geo.parse_domain("ellipsoid:a=1,2")
 WARP = geo.parse_domain("warped:base=ellipsoid:a=1,2;u=x1")
 RESCALED_WARP = Quadric((1, 2), c=2.0, warps=1)
-WARPED_RESCALED = Quadric((1, 1), c=0.5, warps=1, ball=True)
+WARPED_RESCALED = Quadric((1, 1), c=0.5, warps=1)
 WARP_TWICE = Quadric((1, 2), warps=2)
-BALL = Quadric((1, 1), ball=True)
+BALL = Quadric((1, 1))
 E1 = np.array([1.0 + 0j, 0j])
 # the deepest level of the warped containment scan of lemma 3.1
 DEEP_EPS = 0.2 * 2.0 ** -8

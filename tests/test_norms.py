@@ -75,6 +75,17 @@ class TestRadialIntegral:
         em = norms.radial_integral(f, 1.5, 0.9, mc_cfg)
         assert abs(ez.value - em.value) <= 3 * max(em.stderr, 1e-12)
 
+    @pytest.mark.parametrize("surface", [
+        # radius 3 holds all of the sphere, so its complement holds none of it
+        norms.CapSurface(2, E1, 3.0, complement=True),
+        # the level sphere of radius sqrt(0.5) misses B(e1, 0.01)
+        norms.LevelSurface(BALL, norms.OpenBall(E1, 0.01)),
+    ], ids=["cap-complement", "level"])
+    def test_an_empty_zonal_region_is_exact_empty(self, surface):
+        est, flag = norms.point_integral(fn.Cauchy(E1), 2.0, surface, 0.5, CFG)
+        assert (est.method, est.value, est.stderr, est.count, flag) == \
+            ("exact-empty", 0.0, 0.0, 0, "")
+
     @pytest.mark.parametrize("seed", [7, 11, 13])
     def test_complement_of_a_wide_cap_matches_forced_mc(self, seed):
         # radius 1.9 cuts the zonal disk at Re lam = -0.805: a cut below 0

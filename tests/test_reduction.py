@@ -15,6 +15,7 @@ E1 = (1.0 + 0j, 0j)
 E2 = (0j, 1.0 + 0j)
 BALL = geo.parse_domain("ball:n=2")
 ELL = geo.parse_domain("ellipsoid:a=1,2")
+WARPED = geo.parse_domain("warped:base=ellipsoid:a=1,2;u=x1")
 
 PATHS = {
     "sphere": lambda g: quad.integrate_sphere(g, 2, 1000, seed=1),
@@ -88,17 +89,17 @@ GOLDEN = {
     "parametrized-unstratified": (POLY, 2.0, norms.LevelSurface(ELL), 0.05, MC,
                                   "parametrized", 105.4337793345384,
                                   0.7778405749813408, 2000),
-    "thin-shell": (LEVI, 1.5, norms.LevelSurface(ELL, "thin-shell"), 0.1, MC,
-                   "thin-shell", 5.572721778168472, 0.12258180231817127, 4533),
+    # a warped domain's level sets take the thin shell
+    "thin-shell": (LEVI, 1.5, norms.LevelSurface(WARPED), 0.1, MC,
+                   "thin-shell", 6.341686363072707, 0.17277652604294869, 2397),
     # recorded with k = 3 when the restriction reached the level-set rule as
     # an indicator predicate plus a separate proposal ball
     "parametrized-restricted": (LEVI, 1.5, norms.LevelSurface(ELL, restrict=U04),
                                 0.05, MC, "parametrized", 1.7654639540172166,
                                 0.09134850269104382, 1995),
-    "thin-shell-restricted": (LEVI, 1.5,
-                              norms.LevelSurface(ELL, "thin-shell", restrict=U04),
-                              0.1, MC, "thin-shell", 1.2042680585329812,
-                              0.026387556162964596, 11092),
+    "thin-shell-restricted": (LEVI, 1.5, norms.LevelSurface(WARPED, restrict=U04),
+                              0.1, MC, "thin-shell", 1.8817464582498833,
+                              0.060676000435575396, 4472),
 }
 
 
@@ -112,6 +113,27 @@ def test_point_integral_golden(name):
     else:
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+# the thin shell on the unwarped ellipsoid, recorded with k = 3 through the
+# surface that named the rule: (within, value, stderr, count)
+THIN_SHELL_ELL = {
+    "whole": (None, 5.572721778168472, 0.12258180231817127, 4533),
+    "restricted": ((U04.center, U04.radius), 1.2042680585329812,
+                   0.026387556162964596, 11092),
+}
+
+
+@pytest.mark.parametrize("name", list(THIN_SHELL_ELL))
+def test_thin_shell_on_the_ellipsoid_golden(name):
+    within, value, stderr, count = THIN_SHELL_ELL[name]
+    g = lambda Z: fn.level_abs(LEVI, Z)[None] ** 1.5
+    est, = quad.integrate_level_set(
+        g, ELL, 0.1, method="thin-shell", count=MC.thin_shell_proposals,
+        seed=norms._point_seed(MC, 3), within=within, singular_center=E1)
+    assert (est.method, est.count) == ("thin-shell", count)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 # one ladder around each golden exponent, with the golden exponent inside it

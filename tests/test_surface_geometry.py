@@ -76,6 +76,26 @@ def test_zonal_level_set_empty_is_a_geometry_error():
     assert sc.flags == ["failed: level set empty", "truncated"]
 
 
+def test_a_restricted_levi_scan_does_not_depend_on_the_spelling():
+    grid = norms.ApproachGrid("level", 0, 14)
+    U = norms.OpenBall(E1, 0.4)
+    ball, ell = (norms.level_scan_domain(fn.LeviReciprocal(domain, E1), 1.5, domain,
+                                         grid, norms.QuadConfig(), restrict=U)
+                 for domain in map(geo.parse_domain, ("ball:n=2", "ellipsoid:a=1,1")))
+    assert ball.methods == ell.methods == ["zonal"] * len(grid.ks())
+    assert np.array_equal(ball.values, ell.values)
+
+
+def test_a_warped_level_surface_takes_the_thin_shell():
+    domain = geo.parse_domain("warped:base=ellipsoid:a=1,2;u=x1")
+    sc = norms.scan(fn.LeviReciprocal(geo.parse_domain("ellipsoid:a=1,2"), E1), 1.5,
+                    norms.ApproachGrid("level", 0, 1), norms.LevelSurface(domain),
+                    norms.QuadConfig(thin_shell_proposals=200_000))
+    assert sc.methods == ["thin-shell"] * 2 and sc.flags == ["", ""]
+    assert sc.describe().endswith("surface=level:warped:base=ellipsoid:a=1,2;u=x1, "
+                                  "rule=thin-shell)")
+
+
 # ---------------------------------------------------------------------------
 # The region is applied before |f| is evaluated
 # ---------------------------------------------------------------------------
@@ -97,9 +117,9 @@ RESTRICTED = {
         1.7654639540172166, 0.09134850269104382,
         lambda Z: np.linalg.norm(Z - E1, axis=-1) < 0.4),
     "thin-shell-restricted": (
-        LEVI, 1.5, norms.LevelSurface(geo.parse_domain("ellipsoid:a=1,2"),
-                                      "thin-shell", restrict=U04), 0.1,
-        1.2042680585329812, 0.026387556162964596,
+        LEVI, 1.5, norms.LevelSurface(
+            geo.parse_domain("warped:base=ellipsoid:a=1,2;u=x1"), restrict=U04), 0.1,
+        1.8817464582498833, 0.060676000435575396,
         lambda Z: np.linalg.norm(Z - E1, axis=-1) < 0.4),
 }
 
