@@ -230,8 +230,8 @@ def build_parser():
     p = sub.add_parser("density-demo", help="metric-small, witness-large demo")
     common(p)
     p.add_argument("--q", type=above("q", 1), default=1.5)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--j", type=int, default=4)
+    p.add_argument("--delta", type=above("delta", 0), default=0.01)
+    p.add_argument("--j", type=at_least("j", 1), default=4)
     p.add_argument("--base", default="poly:z1^2+3")
 
     p = sub.add_parser("metric", help="intersection-space metric of two functions")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import functions as fn
 from . import quadrature as quad
-from .geometry import GeometryError, level_weights
+from .geometry import GeometryError, _number, level_weights
 
 LN2 = math.log(2.0)
 GRID_FLOOR = 1e-9
@@ -97,6 +97,14 @@ class OpenBall:
     def __post_init__(self):
         _check_radius(self.radius)
 
+    def describe(self):
+        return _region_text(self.center, self.radius)
+
+
+def _region_text(center, radius):
+    """center=...;r=... of a ball or cap, numbers as short as they read back."""
+    return f"center={fn._vector_text(center)};r={_number(float(radius))}"
+
 
 @dataclass(frozen=True)
 class SphereSurface:
@@ -123,7 +131,7 @@ class CapSurface:
 
     def describe(self):
         side = "complement" if self.complement else "cap"
-        return f"{side}:n={self.n};r={self.radius:g}"
+        return f"{side}:n={self.n};{_region_text(self.center, self.radius)}"
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ class LevelSurface:
     restrict: OpenBall = None
 
     def describe(self):
-        u = ";U" if self.restrict is not None else ""
+        u = f";U:{self.restrict.describe()}" if self.restrict is not None else ""
         return f"level:{self.domain.describe()}{u}"
 
 
@@ -146,7 +154,7 @@ class RealLevelSurface:
     restrict: OpenBall = None
 
     def describe(self):
-        u = ";U" if self.restrict is not None else ""
+        u = f";U:{self.restrict.describe()}" if self.restrict is not None else ""
         return f"real-level:n={self.n}{u}"
 
 
@@ -773,3 +781,42 @@ def intersection_metric(f, g, mspec, grid=None, cfg=None):
         uncertainty += w * dnorm / (1.0 + norm_j) ** 2
         terms.append((float(pj), float(norm_j), v.klass))
     return MetricResult(float(value), float(uncertainty), tuple(terms))
+
+
+def power_kernel_norm(n, q, p):
+    """||PowerCauchy(w, q)||_p on the unit ball of C^n in closed form, for
+    0 < p < q; it is the same for every pole w.
+
+    |f|^p = |1 - <z, w>|^{-s} with s = np/q, whose sphere integral is
+    sigma Gamma(n) Gamma(n - s) / Gamma(n - s/2)^2, sigma the sphere's area
+    (Rudin, Function Theory in the Unit Ball, Prop. 1.4.10).  The integral
+    over r S rises with r, so this boundary value is the norm.
+    """
+    s = n * p / q
+    if not 0.0 < s < n:
+        raise NormError(f"||power kernel||_{p:g} is finite only for 0 < p < "
+                        f"q = {q:g}")
+    log_integral = (math.log(quad.sphere_area(n)) + math.lgamma(n)
+                    + math.lgamma(n - s) - 2.0 * math.lgamma(n - s / 2.0))
+    return math.exp(log_integral / p)
+
+
+def power_sum_metric_bound(n, scale, mspec):
+    """Certified upper bound on the untruncated metric d(f, g) of the ladder
+    ``mspec`` when f - g is a sum of ``PowerCauchy(w, mspec.q)`` kernels on
+    the unit ball of C^n whose coefficients have absolute sum at most
+    ``scale``.
+
+    By the triangle inequality ||f - g||_{p_j} <= u_j = scale N_{p_j}, N the
+    closed form of ``power_kernel_norm``; x/(1 + x) rises with x, so
+    d <= sum_{j <= J} 2^-j u_j/(1 + u_j) + 2^-J, the last term bounding the
+    terms past J.  The result is exact arithmetic: uncertainty 0, terms
+    (p_j, u_j, "closed form").
+    """
+    value = 2.0 ** -mspec.J
+    terms = []
+    for j, pj in enumerate(mspec.p_list(), start=1):
+        u = scale * power_kernel_norm(n, mspec.q, float(pj))
+        value += 2.0 ** (-j) * u / (1.0 + u)
+        terms.append((float(pj), u, "closed form"))
+    return MetricResult(value, 0.0, tuple(terms))

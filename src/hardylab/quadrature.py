@@ -1046,6 +1046,9 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     d = 2 * domain.n
     weights2 = np.repeat(domain.weights, 2)
     s_lo, s_hi = shell_band(domain, eps, h, los, his)
+    # prefix_dens[m]: the mixture density of a point in boxes 0..m-1, summed
+    # in box order from 0.0 as one add per box would sum it
+    prefix_dens = np.concatenate(([0.0], np.cumsum(1.0 / (K * vols))))
     proposals = int(proposals)
     workers = shell_workers()
     # one pair of chunk buffers per thread, all allocated on this thread: its
@@ -1079,11 +1082,13 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
             return None
         Xa = X[mask]
         Za = Z[mask]
-        dens = np.zeros(len(Xa))
-        for k in range(K):
-            inside = np.all((Xa >= los[k]) & (Xa <= his[k]), axis=1)
-            dens += inside / (K * vols[k])
-        return Za, grad_norm(domain, Za) / (2.0 * h * proposals * dens)
+        # the boxes are nested (lo_k rises with k, hi_k falls), so a row lies
+        # in boxes 0..m-1 and its density is prefix_dens[m]
+        m = np.full(len(Xa), K)
+        for j in range(d):
+            np.minimum(m, np.searchsorted(los[:, j], Xa[:, j], "right"), out=m)
+            np.minimum(m, np.searchsorted(-his[:, j], -Xa[:, j], "right"), out=m)
+        return Za, grad_norm(domain, Za) / (2.0 * h * proposals * prefix_dens[m])
 
     rng = rng_stream(seed, 0x7541)
     jobs, futures = [], []

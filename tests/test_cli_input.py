@@ -176,6 +176,22 @@ def test_levi_check_flag_out_of_range_is_a_usage_error(flag, value, monkeypatch,
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--j", "0"), ("--j", "-1"), ("--j", "1.5"), ("--delta", "0"),
+    ("--delta", "-1"), ("--delta", "nan"), ("--delta", "inf"), ("--delta", "x"),
+])
+def test_density_demo_flag_out_of_range_is_a_usage_error(flag, value, monkeypatch,
+                                                         tmp_path, capsys):
+    monkeypatch.setattr(cli.ex, "density_demo",
+                        lambda *a, **kw: pytest.fail("the demo ran"))
+    out = tmp_path / "density.csv"
+    code = cli.run(["density-demo", flag, value, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{flag}: {value!r}: {flag[2:]} must be" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_level_scan_of_a_warped_domain_takes_the_thin_shell(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code = cli.run(["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--surface",

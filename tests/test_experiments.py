@@ -194,3 +194,47 @@ class TestDensityDemo:
             x = J * c * truenorm
             total += 2.0 ** (-j) * x / (1 + x)
         assert total < delta
+
+    @pytest.mark.parametrize("n,q", [(2, 1.5), (2, 3.0), (3, 1.5), (3, 3.0)])
+    def test_closed_form_bound_matches_gammaln(self, n, q):
+        spec = norms.IntersectionMetricSpec(q=q, J=20)
+        scale = 4 * 1.163e-5
+        total = 2.0 ** -20
+        for j, pj in enumerate(spec.p_list(), start=1):
+            s = n * pj / q
+            exact = (quad.sphere_area(n) * math.exp(
+                gammaln(n) + gammaln(n - s) - 2 * gammaln(n - s / 2))) ** (1 / pj)
+            assert norms.power_kernel_norm(n, q, pj) == pytest.approx(exact, rel=1e-12)
+            x = scale * exact
+            total += 2.0 ** (-j) * x / (1 + x)
+        bound = norms.power_sum_metric_bound(n, scale, spec)
+        assert bound.value == pytest.approx(total, rel=1e-12)
+        assert bound.uncertainty == 0.0 and len(bound.terms) == 20
+
+    def test_power_kernel_norm_refuses_p_at_q(self):
+        with pytest.raises(norms.NormError):
+            norms.power_kernel_norm(2, 1.5, 1.5)
+
+    def test_demo_reports_the_certificate_without_monte_carlo(self, monkeypatch):
+        monkeypatch.setattr(norms, "intersection_metric",
+                            lambda *a, **kw: pytest.fail("Monte Carlo metric ran"))
+        res = ex.density_demo(fn.Poly(((3.0, (0, 0)), (1.0, (2, 0))), 2), cfg=CFG)
+        want = norms.power_sum_metric_bound(
+            2, res.coefficient * 4, norms.IntersectionMetricSpec(q=1.5, J=20))
+        assert res.passed
+        assert (res.metric.value, res.metric.uncertainty) == (want.value, 0.0)
+        assert res.metric.value == pytest.approx(2.086e-3, rel=1e-3)
+
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_monte_carlo_metric_within_3_sigma_of_the_bound(self, seed):
+        n, q, J = 2, 1.5, 4
+        cfg = norms.QuadConfig(seed=seed, count=10_000)
+        base = fn.Poly(((3.0, (0, 0)), (1.0, (2, 0))), n)
+        res = ex.density_demo(base, q=q, J=J, cfg=cfg)
+        centers = geo.boundary_dense_sequence(geo.parse_domain(f"ball:n={n}"), J,
+                                              seed=seed)
+        f = fn.combine((1.0, base), *[(res.coefficient, fn.PowerCauchy(tuple(w), q))
+                                      for w in centers])
+        mc = norms.intersection_metric(f, base, norms.IntersectionMetricSpec(q=q),
+                                       cfg=cfg)
+        assert mc.value <= res.metric.value + 3.0 * mc.uncertainty

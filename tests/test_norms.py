@@ -408,3 +408,16 @@ class TestMetric:
                                       grid=norms.ApproachGrid("radial", 2, 10),
                                       cfg=CFG)
         assert d.uncertainty >= 2.0 ** -10
+
+
+def test_surface_descriptions_name_their_region():
+    cap = norms.CapSurface(2, (1.0 + 0j, 0j), 0.5)
+    assert cap.describe() == "cap:n=2;center=1,0;r=0.5"
+    assert norms.CapSurface(2, (0j, 1.0 + 0j), 0.5).describe() != cap.describe()
+    assert norms.CapSurface(2, (1.0 + 0j, 0j), 0.5, complement=True).describe() \
+        == "complement:n=2;center=1,0;r=0.5"
+    U = norms.OpenBall((1.0 + 0j, 0j), 0.4)
+    level = norms.LevelSurface(geo.parse_domain("ellipsoid:a=1,2"), restrict=U)
+    assert level.describe() == "level:ellipsoid:a=1,2;U:center=1,0;r=0.4"
+    real = norms.RealLevelSurface(3, restrict=norms.OpenBall((0.0, 0.0, 1.0), 0.4))
+    assert real.describe() == "real-level:n=3;U:center=0,0,1;r=0.4"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,6 +330,27 @@ class TestThinShell:
         e_thin = quad.integrate_level_set(g, ELL, 0.1, method="thin-shell",
                                           count=2_000_000, seed=11)
         assert abs(e_par.value - e_thin.value) <= 3 * e_par.combined_stderr(e_thin)
+
+    @pytest.mark.parametrize("warps", [0, 1])
+    @pytest.mark.parametrize("within", [None, (E1, 0.4)])
+    def test_weights_are_the_box_by_box_mixture_density(self, warps, within):
+        # reference: the nested boxes' mixture density summed box by box, in
+        # box order; the sampler's weights must equal it bit for bit
+        domain = replace(ELL, warps=warps)
+        eps, proposals = 0.05, 200_000
+        s = quad.thin_shell_sampler(domain, eps, proposals, 7, within=within,
+                                    focus=E1)
+        los, his = quad.shell_boxes(domain, eps, within, E1)
+        K = len(los)
+        vols = np.prod(his - los, axis=1)
+        X = geo.to_real(s.points)
+        dens = np.zeros(len(X))
+        for k in range(K):
+            dens += np.all((X >= los[k]) & (X <= his[k]), axis=1) / (K * vols[k])
+        h = eps / quad.SHELL_EPS_DIVISOR
+        want = geo.grad_norm(domain, s.points) / (2.0 * h * proposals * dens)
+        assert K > 2 and len(np.unique(dens)) > 2
+        assert np.array_equal(s.weights, want)
 
 
 class TestRealZonal:
