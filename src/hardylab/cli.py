@@ -452,6 +452,10 @@ def _dispatch(args, file_cfg):
         return EXIT_OK if rep.passed else EXIT_ERROR
 
     if args.command == "density-demo":
+        try:
+            ex.density_metric_spec(args.q, args.delta)
+        except norms.NormError as exc:
+            raise UsageError(f"--delta: {exc}") from exc
         base = fn.parse_function(args.base)
         res = ex.density_demo(base, q=args.q, delta=args.delta, J=args.j, cfg=cfg)
         print("\n".join(res.summary_lines()))

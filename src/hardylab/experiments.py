@@ -426,6 +426,21 @@ class DensityDemoResult:
 MAX_HALVINGS = 60  # coefficient halvings before the search gives up
 
 
+def density_metric_spec(q, delta):
+    """The density demo's metric ladder: J = 20 exponents rising to q.
+
+    The certified bound never falls below its tail term 2^-J, which bounds
+    the terms past J, so 2^-J is the demo's floor: a delta at or below it
+    raises NormError, as no coefficient can show it.
+    """
+    spec = norms.IntersectionMetricSpec(q=q, J=20)
+    floor = 2.0 ** -spec.J
+    if not delta > floor:
+        raise norms.NormError(f"delta={delta:g} is at or below the certificate's "
+                              f"floor 2^-{spec.J} = {floor:g}")
+    return spec
+
+
 def density_demo(base, q=1.5, delta=0.01, J=4, cfg=None):
     """Perturb a base function on the unit ball by J scaled singular powers at
     quasi-dense boundary points: the perturbation stays within delta of the
@@ -436,11 +451,13 @@ def density_demo(base, q=1.5, delta=0.01, J=4, cfg=None):
     norm a grid estimate on the deep zonal grid, and halves until the
     certified bound on d(f, base) falls below delta.  f - base = c sum phi_j,
     so the bound is ``norms.power_sum_metric_bound`` at scale c J: closed
-    form, no Monte Carlo, the same for every seed and node budget.
+    form, no Monte Carlo, the same for every seed and node budget.  A delta
+    at or below the bound's floor (``density_metric_spec``) raises NormError
+    before any scan.
     """
     cfg = cfg or norms.QuadConfig()
+    metric_spec = density_metric_spec(q, delta)
     domain = parse_domain(f"ball:n={fn.ambient_dim(base)}")
-    metric_spec = norms.IntersectionMetricSpec(q=q, J=20)
     t0 = time.time()
     centers = boundary_dense_sequence(domain, J, seed=cfg.seed)
     phis = [fn.PowerCauchy(tuple(w), q) for w in centers]

@@ -644,16 +644,29 @@ def integrate_real_zonal(G, d, u_hi=2.0):
 class SurfaceSampler:
     """Nodes and positive weights approximating integration over a hypersurface.
 
-    ``strata`` slices group nodes into independently sampled strata for the
-    variance estimate (None: one stratum); ``proposals`` records the total
-    proposal count of a rejection-sampled (thin-shell) rule.
+    ``blocks`` holds the nodes as a tuple of (m, n) complex arrays, in rule
+    order: one block for the parametrized rule, one per proposal chunk with
+    accepted nodes for the thin shell, so its nodes are never copied into one
+    array.  ``weights`` is one array over all of them.  ``strata`` slices
+    group nodes into independently sampled strata for the variance estimate
+    (None: one stratum); ``proposals`` records the total proposal count of a
+    rejection-sampled (thin-shell) rule.
     """
 
     method: str
-    points: np.ndarray
+    blocks: tuple
     weights: np.ndarray
     strata: tuple = None
     proposals: int = None
+
+    @property
+    def points(self):
+        """The nodes as one (count, n) array, read-only (it has no setter):
+        the block itself for a rule of one block, else a new concatenation of
+        the blocks."""
+        if len(self.blocks) == 1:
+            return self.blocks[0]
+        return np.concatenate(self.blocks)
 
     @property
     def count(self):
@@ -661,10 +674,19 @@ class SurfaceSampler:
         return len(self.weights)
 
     def integrate(self, g):
+        """The estimate(s) of the integral of g, evaluated one block at a time.
+
+        g must act node by node, as every integrand here does, so its values
+        on a block are those it gives the same nodes in one array.  Only the
+        value rows are concatenated, and ``reduce_nodes`` reduces them once,
+        so the estimate is bit for bit that of g on ``points``.
+        """
         error = self.proposals
         if error is None:
             error = self.strata or (slice(None),)
-        return reduce_nodes(self.weights, g(self.points), self.method, error)
+        vals = [np.asarray(g(block), dtype=float) for block in self.blocks]
+        vals = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
+        return reduce_nodes(self.weights, vals, self.method, error)
 
 
 def _complement_basis(xc):
@@ -926,7 +948,7 @@ def parametrized_level_sampler(weights, eps, count, seed, singular_center=None):
     jac = det * np.sqrt(sum((sq[:, 2 * j] + sq[:, 2 * j + 1]) / R[j] ** 2
                             for j in range(n)))
     points = (pts_r * np.repeat(R, 2)).view(complex)
-    return SurfaceSampler(method="parametrized", points=points, weights=w * jac,
+    return SurfaceSampler(method="parametrized", blocks=(points,), weights=w * jac,
                           strata=strata)
 
 
@@ -1037,9 +1059,28 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     of nested boxes shrinking geometrically toward it, whose closed-form
     density keeps the estimator unbiased while singular integrands
     concentrated there get sampled at every scale.
+
+    The accepted nodes stay in the blocks their chunks of SHELL_CHUNK_ROWS
+    proposals produced (``SurfaceSampler.blocks``), in chunk order, and are
+    never copied into one array; only the weights are joined, after the
+    chunk buffers and box indices are freed.
     """
     h = eps / SHELL_EPS_DIVISOR
     los, his = shell_boxes(domain, eps, within, focus)
+    proposals = int(proposals)
+    hits = [r for r in _shell_chunks(domain, eps, h, los, his, proposals, seed)
+            if r is not None]
+    if not hits:
+        raise QuadratureError("shell not hit")
+    return SurfaceSampler(method="thin-shell", blocks=tuple(r[0] for r in hits),
+                          weights=np.concatenate([r[1] for r in hits]),
+                          proposals=proposals)
+
+
+def _shell_chunks(domain, eps, h, los, his, proposals, seed):
+    """The thin shell's (accepted nodes, weights) of each chunk of
+    SHELL_CHUNK_ROWS proposals, None for a chunk without one, in chunk
+    order; see ``thin_shell_sampler``."""
     spans = his - los
     vols = np.prod(spans, axis=1)
     K = len(vols)
@@ -1049,7 +1090,6 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
     # prefix_dens[m]: the mixture density of a point in boxes 0..m-1, summed
     # in box order from 0.0 as one add per box would sum it
     prefix_dens = np.concatenate(([0.0], np.cumsum(1.0 / (K * vols))))
-    proposals = int(proposals)
     workers = shell_workers()
     # one pair of chunk buffers per thread, all allocated on this thread: its
     # heap has room left by earlier work, while a pool thread's starts empty
@@ -1074,7 +1114,9 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
         # exact rho, decide among those.  Gathering them by index takes a
         # fifth of the time of a boolean mask
         s = np.square(X, out=U) @ weights2
-        X = X[np.flatnonzero((s >= s_lo) & (s <= s_hi))]
+        rows = np.flatnonzero((s >= s_lo) & (s <= s_hi))
+        del s  # 8 bytes a proposal, freed before the rows it keeps are gathered
+        X = X[rows]
         X = X[shell_screen(X, domain, eps, h)]
         Z = to_complex(X)
         mask = np.abs(domain.rho(Z) + eps) < h
@@ -1121,16 +1163,9 @@ def thin_shell_sampler(domain, eps, proposals, seed, within=None, focus=None):
         while n and (workers == 1 or futures[n - 1].cancel()):
             n -= 1
             own.append(chunk(*jobs[n]))
-        results = [f.result() for f in futures[:n]] + own[::-1]
+        return [f.result() for f in futures[:n]] + own[::-1]
     finally:  # no chunk outlives the call, also when one raises
         pool.shutdown(cancel_futures=True)
-    results = [r for r in results if r is not None]
-    if not results:
-        raise QuadratureError("shell not hit")
-    pts = np.concatenate([r[0] for r in results])
-    w = np.concatenate([r[1] for r in results])
-    return SurfaceSampler(method="thin-shell", points=pts, weights=w,
-                          proposals=proposals)
 
 
 def integrate_level_set(g, domain, eps, method="parametrized", count=100_000,
@@ -1140,6 +1175,10 @@ def integrate_level_set(g, domain, eps, method="parametrized", count=100_000,
     ``within`` (center, radius) restricts the integral to the open ball
     {|Z - center| < radius}, the open set U of local Hardy norms: g sees only
     the nodes inside it, and the thin-shell proposal box shrinks to it.
+    g is evaluated one node block of the rule at a time
+    (``SurfaceSampler.integrate``), so it must act node by node; on the thin
+    shell, whose blocks are its proposal chunks' accepted nodes, its
+    temporaries are those of one block.
     """
     sampler = geometry.level_set_sampler(
         domain, eps, method=method, count=count, seed=seed,

@@ -192,6 +192,19 @@ def test_density_demo_flag_out_of_range_is_a_usage_error(flag, value, monkeypatc
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1e-7", "9.5367431640625e-07"])
+def test_density_demo_delta_at_or_below_the_floor_is_a_usage_error(
+        value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli.ex, "density_demo",
+                        lambda *a, **kw: pytest.fail("the demo ran"))
+    out = tmp_path / "density.csv"
+    code = cli.run(["density-demo", "--delta", value, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--delta: " in err and "floor 2^-20 = 9.53674e-07" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_level_scan_of_a_warped_domain_takes_the_thin_shell(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code = cli.run(["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--surface",

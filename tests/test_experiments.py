@@ -171,6 +171,18 @@ class TestDensityDemo:
         assert res.passed
         assert res.metric.value < 0.1
 
+    @pytest.mark.parametrize("delta", [1e-7, 2.0 ** -20])
+    def test_delta_at_or_below_the_floor_raises_before_the_scan(self, delta,
+                                                                monkeypatch):
+        monkeypatch.setattr(norms, "scan", lambda *a, **kw: pytest.fail("scanned"))
+        with pytest.raises(norms.NormError, match=r"floor 2\^-20 = 9.53674e-07"):
+            ex.density_demo(fn.Const(0.0, 2), q=1.5, delta=delta, J=1, cfg=CFG)
+
+    def test_delta_just_above_the_floor_is_certified(self):
+        delta = 2.0 ** -20 * (1.0 + 1e-3)
+        res = ex.density_demo(fn.Const(0.0, 2), q=1.5, delta=delta, J=1, cfg=CFG)
+        assert res.metric.value < delta
+
     def test_large_delta_trivial(self):
         res = ex.density_demo(fn.Const(0.0, 2), q=1.5, delta=10.0, J=1, cfg=CFG)
         assert res.metric.value < 10.0
