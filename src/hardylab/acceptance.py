@@ -145,19 +145,28 @@ def criterion_05(seed):
     rows = _report_rows("criterion-05", rep, seed)
     lines = rep.summary_lines()
     f = fn.LeviReciprocal(domain, (1.0, 0.0))
+    zeta = np.array([1.0 + 0j, 0j])
+    powers = (1.5, 3.0)
+
+    def g(Z):  # one row of |f|^p per p, from one evaluation of |f|
+        mod = np.abs(fn.evaluate(f, Z))
+        return np.stack([mod ** p for p in powers])
+
+    levels = []  # each (k, method) rule is built once, for both p
+    for k in range(0, 5):
+        eps = 0.2 * 2.0 ** (-k)
+        pars = quad.integrate_level_set(
+            g, domain, eps, method="parametrized", count=cfg.count,
+            seed=seed + 1000 + k, singular_center=zeta)
+        thins = quad.integrate_level_set(
+            g, domain, eps, method="thin-shell",
+            count=cfg.thin_shell_proposals, seed=seed + 2000 + k,
+            singular_center=zeta)
+        levels.append((eps, pars, thins))
     agree = True
-    for p in (1.5, 3.0):
-        for k in range(0, 5):
-            eps = 0.2 * 2.0 ** (-k)
-            g = lambda Z: np.abs(fn.evaluate(f, Z)) ** p
-            zeta = np.array([1.0 + 0j, 0j])
-            e_par = quad.integrate_level_set(
-                g, domain, eps, method="parametrized", count=cfg.count,
-                seed=seed + 1000 + k, singular_center=zeta)
-            e_thin = quad.integrate_level_set(
-                g, domain, eps, method="thin-shell",
-                count=cfg.thin_shell_proposals, seed=seed + 2000 + k,
-                singular_center=zeta)
+    for i, p in enumerate(powers):
+        for eps, pars, thins in levels:
+            e_par, e_thin = pars[i], thins[i]
             gap = abs(e_par.value - e_thin.value)
             tol = 3.0 * e_par.combined_stderr(e_thin)
             ok_pt = gap <= tol

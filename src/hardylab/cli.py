@@ -225,7 +225,7 @@ def build_parser():
     common(p, count=False)
     p.add_argument("--f", required=True)
     p.add_argument("--targets", type=at_least("targets", 1), default=4)
-    p.add_argument("--bound", type=float, default=1e3)
+    p.add_argument("--bound", type=above("bound", 0), default=1e3)
 
     p = sub.add_parser("density-demo", help="metric-small, witness-large demo")
     common(p)
@@ -254,7 +254,12 @@ def _seed(args, file_cfg):
         return args.seed
     if file_cfg.seed is not None:
         return file_cfg.seed
-    return int(os.environ.get("HARDY_LAB_SEED", "7"))
+    text = os.environ.get("HARDY_LAB_SEED", "7")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"HARDY_LAB_SEED: bad value {text!r}; "
+                         f"the seed must be an integer") from None
 
 
 def _quad_config(args, file_cfg):

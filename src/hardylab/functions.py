@@ -293,13 +293,19 @@ def _cauchy_polar(w, with_arg=True, buf=None):
     return h2, t
 
 
+def _levi_exponent(spec):
+    """s with |f| = |Q|^-s for a Levi kernel: 1 for the reciprocal, n/q for
+    the power."""
+    return 1.0 if isinstance(spec, LeviReciprocal) else spec.domain.n / spec.q
+
+
 def _power_atom(spec):
     """(kappa, s) with f(w) = (kappa (1 - w))^-s for the zonal power atoms,
-    else None."""
+    the Levi kernels on a (rescaled) ball among them, else None."""
     if isinstance(spec, PowerCauchy):
         return 1.0, len(spec.zeta) / spec.q
-    if isinstance(spec, LeviPower):
-        return 2.0 * _ball_levi_scale(spec.domain), spec.domain.n / spec.q
+    if isinstance(spec, (LeviReciprocal, LeviPower)):
+        return 2.0 * _ball_levi_scale(spec.domain), _levi_exponent(spec)
     return None
 
 
@@ -324,10 +330,7 @@ def zonal_eval(spec, w):
         return out
     if isinstance(spec, Cauchy):
         return 1.0 / (1.0 - w)
-    if isinstance(spec, LeviReciprocal):
-        c = _ball_levi_scale(spec.domain)
-        return 1.0 / (2.0 * c * (1.0 - w))
-    if isinstance(spec, (PowerCauchy, LeviPower, LogCauchy)):
+    if isinstance(spec, (PowerCauchy, LeviReciprocal, LeviPower, LogCauchy)):
         out = np.empty(w.shape, dtype=complex)
         re, im = out.real, out.imag
         h2, t = _cauchy_polar(w, buf=re)
@@ -416,8 +419,7 @@ def level_abs(spec, Z):
     re *= re
     im *= im
     re += im
-    s = 1.0 if isinstance(spec, LeviReciprocal) else spec.domain.n / spec.q
-    return _power_modulus(re, 2.0, s)
+    return _power_modulus(re, 2.0, _levi_exponent(spec))
 
 
 def chart_abs(spec, z1):
@@ -438,8 +440,7 @@ def chart_abs(spec, z1):
         raise FunctionError("outside zero-free region")
     h2 *= h2
     h2 += np.square(z1.imag)
-    s = 1.0 if isinstance(spec, LeviReciprocal) else spec.domain.n / spec.q
-    return _power_modulus(h2, 2.0 * d1, s)
+    return _power_modulus(h2, 2.0 * d1, _levi_exponent(spec))
 
 
 def _levi_pairing(d, zeta, Z):

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-BOUNDARY_TOL = 1e-12
-
 # margin below which a Levi-estimate sample counts as a violation (float noise floor)
 _VIOLATION_TOL = -1e-10
 
@@ -308,49 +306,21 @@ def boundary_dense_sequence(domain, count, seed=7):
 
 
 def _boundary_scale(domain, dirs):
-    """Solve rho(t * x) = 0 for t > 0 along each direction x (star-shaped rho)."""
-    if not domain.warps:  # the quadric's radial scale does not depend on c
-        return 1.0 / np.sqrt(np.sum(domain.weights * np.abs(dirs) ** 2, axis=-1))
-    # bisection on t; all supported definings are products of a positive factor
-    # with a star-shaped quadratic, so rho(t x) is increasing in t near the root
-    lo = np.zeros(dirs.shape[0])
-    hi = np.full(dirs.shape[0], 4.0 * np.max(box_halfwidths(domain)))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        inside = domain.rho(dirs * mid[:, None]) < 0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return 0.5 * (lo + hi)
+    """The t > 0 with rho(t x) = 0 along each direction x: the multiplier
+    c exp(warps Re z_1) is positive, so {rho = 0} = {q = 0}, and t is the
+    quadric's radial scale 1 / sqrt(sum_j a_j |x_j|^2)."""
+    return 1.0 / np.sqrt(np.sum(domain.weights * np.abs(dirs) ** 2, axis=-1))
 
 
 def project_to_boundary(domain, z):
-    """Project a point onto {rho = 0}.
-
-    Radial scaling for ball/ellipsoid defining functions, Newton steps along
-    the real gradient otherwise.  The result w satisfies |rho(w)| <= 1e-12.
-    """
+    """The radial projection of a point onto {rho = 0}; the result w
+    satisfies |rho(w)| <= 1e-15."""
     z = np.asarray(z, dtype=complex)
     if np.max(np.abs(z)) > 4.0 * np.max(box_halfwidths(domain)):
         raise GeometryError("point outside the bounding box")
-    if not domain.warps:
-        if np.linalg.norm(z) == 0:
-            raise GeometryError("cannot project the origin radially")
-        return z * (1.0 / np.sqrt(np.sum(domain.weights * np.abs(z) ** 2)))
-    w = z.copy()
-    if np.linalg.norm(w) == 0:
-        w = np.full(domain.n, 1e-3 + 0j)
-    for _ in range(100):
-        r = float(domain.rho(w))
-        if abs(r) <= BOUNDARY_TOL:
-            return w
-        dzv = domain.dz(w)
-        gsq = 4.0 * float(np.sum(np.abs(dzv) ** 2))
-        if gsq == 0:
-            raise GeometryError("vanishing gradient during projection")
-        w = w - r * 2.0 * np.conj(dzv) / gsq
-    if abs(float(domain.rho(w))) <= BOUNDARY_TOL:
-        return w
-    raise GeometryError("projection did not converge in 100 iterations")
+    if np.linalg.norm(z) == 0:
+        raise GeometryError("cannot project the origin radially")
+    return z * _boundary_scale(domain, z)
 
 
 # ---------------------------------------------------------------------------

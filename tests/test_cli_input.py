@@ -160,6 +160,31 @@ def test_witness_of_no_targets_is_a_usage_error(targets, monkeypatch, tmp_path,
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("bound", ["0", "-5", "inf", "nan", "x"])
+def test_witness_bound_not_finite_and_positive_is_a_usage_error(
+        bound, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli.ex, "totally_unbounded_witness",
+                        lambda *a: pytest.fail("the witness search ran"))
+    out = tmp_path / "witness.csv"
+    code = cli.run(["witness", "--f", "const:1", "--bound", bound,
+                    "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--bound: {bound!r}: bound must be > 0, finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_non_integer_env_seed_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("HARDY_LAB_SEED", "abc")
+    out = tmp_path / "scan.csv"
+    code = cli.run(["scan", "--f", "const:2", "--p", "2", "--kmin", "2",
+                    "--kmax", "8", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "HARDY_LAB_SEED: bad value 'abc'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--pairs", "0"), ("--pairs", "-2"), ("--pairs", "1.5"), ("--eta", "0"),
     ("--eta", "-1"), ("--beta", "0"), ("--beta", "-1"),

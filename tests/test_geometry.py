@@ -111,11 +111,13 @@ def test_warped_derivatives_match_finite_differences():
 @pytest.mark.parametrize("domain,eig,beta", [
     (BALL, 1.0, 1 / 3), (ELL, 1.0, 1 / 3),
     (geo.Quadric((3.0, 5.0)), 3.0, 1.0),
+    # sampled near the boundary points, which are radial on a warped domain too
+    (WARP, 0.010820667468972341, 0.0036068891563241137),
 ])
 def test_levi_form_min_eigenvalue(domain, eig, beta):
     val = geo.levi_form_min_eigenvalue(domain, seed=7)
-    assert val == pytest.approx(eig, rel=1e-10)
-    assert val / 3.0 == pytest.approx(beta, rel=1e-10)
+    assert val == pytest.approx(eig, rel=1e-12)
+    assert val / 3.0 == pytest.approx(beta, rel=1e-12)
 
 
 def test_levi_polynomial_ball_closed_form():
@@ -294,6 +296,15 @@ class TestBoundarySequence:
         assert covering(4000) < c1000
 
 
+@pytest.mark.parametrize("text", [
+    "warped:base=ellipsoid:a=1,2;u=x1",
+    "rescaled:base=warped:base=ellipsoid:a=1,2;u=x1;c=0.5"])
+def test_warped_boundary_is_the_base_quadrics(text):
+    # the multiplier c exp(warps Re z_1) is positive: {rho = 0} = {q = 0}
+    got = geo.boundary_dense_sequence(geo.parse_domain(text), 500, seed=7)
+    assert np.array_equal(got, geo.boundary_dense_sequence(ELL, 500, seed=7))
+
+
 class TestProjectToBoundary:
     def test_radial_examples(self):
         w = geo.project_to_boundary(BALL, np.array([0.5 + 0j, 0j]))
@@ -309,3 +320,14 @@ class TestProjectToBoundary:
     def test_newton_path_for_warped(self):
         w = geo.project_to_boundary(WARP, np.array([0.4 + 0.2j, 0.3 - 0.1j]))
         assert abs(WARP.rho(w)) <= 1e-12
+
+    def test_warped_projection_is_the_base_quadrics(self):
+        z = np.array([0.4 + 0.2j, 0.3 - 0.1j])
+        w = geo.project_to_boundary(WARP, z)
+        assert np.array_equal(w, geo.project_to_boundary(ELL, z))
+        assert abs(WARP.rho(w)) <= 1e-15
+
+    @pytest.mark.parametrize("domain", [BALL, WARP])
+    def test_origin_is_refused(self, domain):
+        with pytest.raises(geo.GeometryError, match="origin"):
+            geo.project_to_boundary(domain, np.zeros(2, complex))
