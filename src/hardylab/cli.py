@@ -463,6 +463,13 @@ def _dispatch(args, file_cfg):
             raise UsageError(f"--delta: {exc}") from exc
         base = fn.parse_function(args.base)
         res = ex.density_demo(base, q=args.q, delta=args.delta, J=args.j, cfg=cfg)
+        reach = ex.witness_reach(fn.ambient_dim(base), args.q, res.coefficient)
+        if not reach > ex.WITNESS_BOUND:
+            raise UsageError(
+                f"--delta, --q: c={res.coefficient:.4g} reaches c(1 - r)^(-n/q) = "
+                f"{reach:.4g} at the deepest probe r = 1 - "
+                f"{1.0 - ex.PROBE_SCHEDULE[-1]:.3g}, not above the witness "
+                f"bound {ex.WITNESS_BOUND:g}")
         print("\n".join(res.summary_lines()))
         if args.out:
             rows = [{"experiment_id": "density-demo", "case_label": "metric",

@@ -374,6 +374,15 @@ class WitnessReport:
 
 # inward probe radii 1 - 10^{-m/2}, m = 1..18 (down to 1 - r = 1e-9)
 PROBE_SCHEDULE = 1.0 - 10.0 ** (-np.arange(1, 19) / 2.0)
+WITNESS_BOUND = 1e3  # |f| the density demo's witnesses must exceed
+
+
+def witness_reach(n, q, c):
+    """c (1 - r)^(-n/q) at the deepest probe r of PROBE_SCHEDULE: the size of
+    one term c phi of the density demo there, |phi(r w)| = (1 - r)^(-n/q) at
+    its own boundary point w.  At or below WITNESS_BOUND no probe can show
+    the demo's f large, whatever the seed."""
+    return c * (1.0 - PROBE_SCHEDULE[-1]) ** (-n / q)
 
 
 def totally_unbounded_witness(fspec, targets, bound, domain=None):
@@ -444,8 +453,8 @@ def density_metric_spec(q, delta):
 def density_demo(base, q=1.5, delta=0.01, J=4, cfg=None):
     """Perturb a base function on the unit ball by J scaled singular powers at
     quasi-dense boundary points: the perturbation stays within delta of the
-    base in the intersection metric while |f| exceeds 1e3 near every chosen
-    point.
+    base in the intersection metric while |f| exceeds WITNESS_BOUND near
+    every chosen point.
 
     The shared coefficient c starts at delta/(4 J (1 + ||phi||_{p_20})), the
     norm a grid estimate on the deep zonal grid, and halves until the
@@ -477,7 +486,7 @@ def density_demo(base, q=1.5, delta=0.01, J=4, cfg=None):
             f"coefficient search underflow: c={c:g}, bound={metric.value:g}")
 
     f = fn.combine((1.0, base), *[(c, ph) for ph in phis])
-    witnesses = totally_unbounded_witness(f, centers, 1e3, domain=domain)
+    witnesses = totally_unbounded_witness(f, centers, WITNESS_BOUND, domain=domain)
     return DensityDemoResult(coefficient=c, metric=metric,
                              witnesses=witnesses, delta=delta,
                              runtime=time.time() - t0)

@@ -710,10 +710,18 @@ def hardy_seminorm(fspec, p, grid=None, cfg=None):
 # The metric on intersection spaces
 # ---------------------------------------------------------------------------
 
+MAX_METRIC_TERMS = 53  # exponent ladder terms; p_J = 54 at q = infinity
+
+
 @dataclass(frozen=True)
 class IntersectionMetricSpec:
     """Exponent ladder p_j = q - (q-1)/2^j (j+1 for q = infinity) rising to q,
-    truncated at J terms."""
+    truncated at J terms.
+
+    Every term stacks one row of |f|^p_j at each grid point, so J is capped
+    at MAX_METRIC_TERMS, which also bounds q = infinity.  A finite q needs
+    p_J < q as well: in floating point p_j rounds to q itself from j = 50
+    to 54, depending on q."""
 
     q: float
     J: int = 20
@@ -721,6 +729,13 @@ class IntersectionMetricSpec:
     def __post_init__(self):
         if self.J < 1:
             raise NormError(f"J = {self.J} terms: the metric needs at least one")
+        if self.J > MAX_METRIC_TERMS:
+            raise NormError(f"J = {self.J} terms: the metric takes at most "
+                            f"{MAX_METRIC_TERMS}")
+        p_last = float(self.p_list()[-1])
+        if not p_last < self.q:
+            raise NormError(f"J = {self.J} terms: p_J = {p_last!r} rounds to "
+                            f"q = {self.q!r}, not below it")
 
     def p_list(self):
         j = np.arange(1, self.J + 1)

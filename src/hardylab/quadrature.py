@@ -32,7 +32,7 @@ OVERFLOW_LIMIT = 1e300
 MIN_COUNT = 100  # fewest nodes a Monte Carlo rule, or --count, takes
 SHELL_CHUNK_ROWS = 65_536  # thin-shell proposals evaluated per step
 SHELL_EPS_DIVISOR = 10.0   # thin-shell half-width h = eps / 10
-SHELL_SCREEN_MARGIN = 1e-12  # screen slack, relative to the uncancelled |rho|
+SHELL_BAND_MARGIN = 1e-12  # band slack, relative to the uncancelled |rho|
 SHELL_MAX_WORKERS = 4  # thin-shell threads, this one included; each adds a malloc arena
 
 
@@ -349,24 +349,18 @@ def _radial_nodes(lo, hi):
                             ZONAL_RADIAL_NODES)
 
 
-def _half_disk(n, c, complement):
-    """The upper half-disk rule of {Re lam > c}, or of its complement, before
-    calibration: at each angle theta in (0, pi) the radial nodes s on that
-    angle's range, panels refining toward s = 1, with lam = s e^{i theta}
-    and weight w_theta w_s s (1 - s^2)^{n-2}; angle by angle, ascending.
+def _disk_blocks(n, c, limits):
+    """The upper half-disk rule, before calibration, on the angles theta in
+    (0, pi) of ``_theta_nodes(c)``: at each angle the radial nodes s on the
+    range [lo, hi] that ``limits(theta)`` gives with whether it is kept,
+    panels refining toward s = 1, with lam = s e^{i theta} and weight
+    w_theta w_s s (1 - s^2)^{n-2}; angle by angle, ascending.
 
     The angles are taken ZONAL_BUILD_BLOCK at a time as arrays.  An angle's
     panel edges are its range's ends with the geometric points strictly
     inside, which ascend already, and every node and weight comes from the
     same elementwise operations, in the same order, as a build of that angle
     alone."""
-    return _disk_blocks(n, c, lambda theta: _radial_limits(theta, c, complement))
-
-
-def _disk_blocks(n, c, limits):
-    """The half-disk rule on the angles of ``_theta_nodes(c)``, each on the
-    radial range [lo, hi] that ``limits(theta)`` gives with whether it is
-    kept, built as ``_half_disk`` describes."""
     theta, wtheta = _theta_nodes(c)
     lo, hi, keep = limits(theta)
     theta, wtheta, lo, hi = theta[keep], wtheta[keep], lo[keep], hi[keep]
@@ -394,7 +388,7 @@ def _zonal_fold(n, c, complement):
     doubled weights, calibrated against sigma(S^{2n-1}).  Read-only."""
     if n < 2:
         raise QuadratureError("zonal path requires n >= 2")
-    lam, w = _half_disk(n, c, complement)
+    lam, w = _disk_blocks(n, c, lambda theta: _radial_limits(theta, c, complement))
     w = 2.0 * (w * _zonal_calibration(n))
     _keep_freed_heap(64 * lam.size)  # twice the full rule's complex nodes
     lam.flags.writeable = False
@@ -423,7 +417,7 @@ def _unfold(lam, w2):
 def _zonal_nodes(n, c, complement):
     """Flattened (lam, weight) arrays of the disk region {Re lam > c}, or of
     its complement, weights calibrated against sigma(S^{2n-1}): the half-disk
-    rule of ``_half_disk`` followed by its mirror lam -> conj(lam) with the
+    rule of ``_disk_blocks`` followed by its mirror lam -> conj(lam) with the
     same weights.  Rebuilt on each call from the cached fold."""
     return _unfold(*_zonal_fold(n, c, complement))
 
@@ -514,7 +508,7 @@ def quadric_chart(a, ball=None):
     (``_quadric_ball_limits``).  Its angular panels take an edge where the
     cut meets |lam| = 1, at cos = (X^2 + zeta1^2 - radius^2) / (2 X zeta1),
     graded toward it as ``_theta_nodes`` grades a zonal cut, and its radial
-    ranges are built as ``_half_disk`` builds them.  The farthest point of S
+    ranges are built as ``_disk_blocks`` builds them.  The farthest point of S
     from (zeta1, 0) is (-X, 0) and the nearest lies at arg lam = 0, so a
     ball that holds all of S takes the whole rule.  A cut rule is built
     anew on each call.
@@ -987,22 +981,6 @@ def philox_skip(state, k):
     return bits
 
 
-def shell_screen(X, domain, eps, h):
-    """Mask of the real proposals X (rows x1, y1, ..., xn, yn) that may lie in
-    the shell |rho + eps| < h of the domain's rho = c exp(warps x1)
-    (sum_j a_j |z_j|^2 - 1).
-
-    The quadric is evaluated in real coordinates and a row is dropped only
-    when it misses the shell by more than SHELL_SCREEN_MARGIN times the
-    uncancelled size c exp(warps x1) (sum_j a_j |z_j|^2 + 1).  That margin
-    is far above the rounding gap to the exact rho, so every row the exact
-    test accepts passes, and far below h at every grid level.
-    """
-    s = (X * X) @ np.repeat(domain.weights, 2)
-    m = domain.multiplier(X[:, 0])
-    return np.abs(m * (s - 1.0) + eps) < h + SHELL_SCREEN_MARGIN * m * (s + 1.0)
-
-
 def shell_boxes(domain, eps, within=None, focus=None):
     """Lower and upper corners, each (K, 2n), of the thin shell's proposal
     boxes: the domain's box cut to the cube around ``within``, or with
@@ -1030,19 +1008,21 @@ def shell_boxes(domain, eps, within=None, focus=None):
 
 def shell_band(domain, eps, h, los, his):
     """Bounds (lo, hi) on s = sum_j a_j |z_j|^2 outside of which no proposal
-    in the boxes ``los``/``his`` passes ``shell_screen``.
+    in the boxes ``los``/``his`` passes the exact test |rho + eps| < h.
 
     The multiplier m = c exp(warps x1) is monotone in x1, so on the boxes it
     lies between its values at their smallest and largest x1, and the shell
     |m (s - 1) + eps| < h puts s - 1 between the extremes of t / m over
-    t in {-eps - h, h - eps} and those two m.  The band is widened by the
-    screen's margin at the largest s in the boxes, SHELL_SCREEN_MARGIN
-    (1 + s_max), so every row the screen keeps lies in it.
+    t in {-eps - h, h - eps} and those two m.  The band is widened by
+    SHELL_BAND_MARGIN (1 + s_max), s_max the largest s in the boxes: far
+    above the rounding gap between s from real coordinates and the s inside
+    the exact rho, so every row the exact test accepts lies in it, and far
+    below h at every grid level.
     """
     m = domain.multiplier(np.array([los[:, 0].min(), his[:, 0].max()]))
     ends = np.array([-eps - h, h - eps])[:, None] / m
     s_max = np.max(np.maximum(los * los, his * his) @ np.repeat(domain.weights, 2))
-    margin = SHELL_SCREEN_MARGIN * (1.0 + s_max)
+    margin = SHELL_BAND_MARGIN * (1.0 + s_max)
     return 1.0 + ends.min() - margin, 1.0 + ends.max() + margin
 
 
@@ -1110,14 +1090,13 @@ def _shell_chunks(domain, eps, h, los, his, proposals, seed):
         X *= U
         X += np.take(los, cc, axis=0, out=U, mode="clip")
         # the band in s, with X * X written over the spent U, keeps 0.5-16%
-        # of the rows on lemma 3.1's warped levels; the screen, then the
-        # exact rho, decide among those.  Gathering them by index takes a
-        # fifth of the time of a boolean mask
+        # of the rows on lemma 3.1's warped levels; the exact rho decides
+        # among those.  Gathering them by index takes a fifth of the time of
+        # a boolean mask
         s = np.square(X, out=U) @ weights2
         rows = np.flatnonzero((s >= s_lo) & (s <= s_hi))
         del s  # 8 bytes a proposal, freed before the rows it keeps are gathered
         X = X[rows]
-        X = X[shell_screen(X, domain, eps, h)]
         Z = to_complex(X)
         mask = np.abs(domain.rho(Z) + eps) < h
         if not mask.any():

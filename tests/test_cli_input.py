@@ -135,7 +135,7 @@ def test_a_cap_local_cannot_mean_is_a_usage_error(cap, names, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("terms", ["0", "-1"])
+@pytest.mark.parametrize("terms", ["0", "-1", "52", "54"])
 def test_metric_of_no_terms_is_a_usage_error(terms, tmp_path, capsys):
     out = tmp_path / "metric.csv"
     code = cli.run(["metric", "--f", "cauchy:zeta=1,0", "--g", "const:0",
@@ -227,6 +227,22 @@ def test_density_demo_delta_at_or_below_the_floor_is_a_usage_error(
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "--delta: " in err and "floor 2^-20 = 9.53674e-07" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv,c,reach", [
+    (["--delta", "1e-6"], "c=1.454e-10", "= 145.4 "),
+    (["--q", "4"], "c=0.0001152", "= 3.644 "),
+    (["--q", "10"], "c=0.0002222", "= 0.01402 "),
+])
+def test_density_demo_whose_witnesses_cannot_reach_the_bound_is_a_usage_error(
+        argv, c, reach, tmp_path, capsys):
+    out = tmp_path / "density.csv"
+    code = cli.run(["density-demo", *argv, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--delta, --q: " in err and c in err and reach in err
+    assert "deepest probe r = 1 - 1e-09" in err and "witness bound 1000" in err
     assert "Traceback" not in err and not out.exists()
 
 

@@ -409,6 +409,16 @@ class TestMetric:
                                       cfg=CFG)
         assert d.uncertainty >= 2.0 ** -10
 
+    def test_ladder_stops_before_its_exponents_round_to_q(self):
+        # p_51 = 1.5 - 2^-52 is the last double below 1.5; p_52 = 1.5 - 2^-53 rounds to 1.5
+        assert norms.IntersectionMetricSpec(q=1.5, J=51).p_list()[-1] < 1.5
+        with pytest.raises(norms.NormError, match="not below it"):
+            norms.IntersectionMetricSpec(q=1.5, J=52)
+        # q = infinity never rounds (p_j = j + 1): the term cap bounds it
+        assert norms.IntersectionMetricSpec(q=math.inf, J=53).p_list()[-1] == 54.0
+        with pytest.raises(norms.NormError, match="at most 53"):
+            norms.IntersectionMetricSpec(q=math.inf, J=54)
+
 
 def test_surface_descriptions_name_their_region():
     cap = norms.CapSurface(2, (1.0 + 0j, 0j), 0.5)
