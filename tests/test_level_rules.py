@@ -198,6 +198,26 @@ def test_shell_band_keeps_every_row_the_exact_test_accepts(domain, eps, boxes):
     assert np.all(band[exact])
 
 
+@pytest.mark.parametrize("domain", [WARP, RESCALED_WARP, WARPED_RESCALED,
+                                    WARP_TWICE, BALL, ELL],
+                         ids=lambda d: d.describe())
+@pytest.mark.parametrize("eps", [DEEP_EPS, 1e-9], ids=["deep", "floor"])
+def test_shell_band_drops_nearly_every_raw_miss(domain, eps):
+    # the band is the only screen before the exact rho: on the whole box it
+    # must pass at most 1% of the proposals the exact test rejects, so the
+    # exact rho is evaluated on few rows even where the multiplier spans
+    # exp(+-2) over the box (WARP_TWICE)
+    h = eps / quad.SHELL_EPS_DIVISOR
+    los, his = quad.shell_boxes(domain, eps)
+    lo, hi = los[0], his[0]
+    X = lo + (hi - lo) * rng_stream(5, 0x5C).random((1_000_000, lo.size))
+    s_lo, s_hi = quad.shell_band(domain, eps, h, los, his)
+    s = (X * X) @ np.repeat(domain.weights, 2)
+    band = (s >= s_lo) & (s <= s_hi)
+    missed = ~(np.abs(domain.rho(to_complex(X)) + eps) < h)
+    assert np.count_nonzero(band & missed) <= 1e-2 * missed.sum()
+
+
 @pytest.mark.parametrize("workers", [2, 4])
 def test_this_thread_takes_the_chunks_a_slow_pool_leaves(workers, monkeypatch):
     monkeypatch.setattr(quad, "SHELL_MAX_WORKERS", workers)
