@@ -41,6 +41,14 @@ class Poly:
     n: int = 2
 
 
+def _vector_tuple(obj, name):
+    """Store the vector field ``name`` of a frozen dataclass, given as any
+    sequence (an array among them), as the tuple of its elements: the object
+    then hashes, as the memo of ``norms.point_integrals`` needs, and
+    describes as before."""
+    object.__setattr__(obj, name, tuple(getattr(obj, name)))
+
+
 def _check_unit(v, name):
     if not abs(np.linalg.norm(np.asarray(v, dtype=complex)) - 1.0) <= 1e-9:
         raise FunctionError(f"{name} must lie on the unit sphere")
@@ -65,6 +73,7 @@ class Cauchy:
     zeta: tuple
 
     def __post_init__(self):
+        _vector_tuple(self, "zeta")
         _check_unit(self.zeta, "zeta")
 
 
@@ -75,6 +84,7 @@ class LogCauchy:
     zeta: tuple
 
     def __post_init__(self):
+        _vector_tuple(self, "zeta")
         _check_unit(self.zeta, "zeta")
 
 
@@ -86,6 +96,7 @@ class PowerCauchy:
     q: float
 
     def __post_init__(self):
+        _vector_tuple(self, "zeta")
         _check_unit(self.zeta, "zeta")
         _check_q(self.q)
 
@@ -99,6 +110,7 @@ class LeviReciprocal:
     zeta: tuple
 
     def __post_init__(self):
+        _vector_tuple(self, "zeta")
         _check_boundary(self.domain, self.zeta)
 
 
@@ -111,6 +123,7 @@ class LeviPower:
     q: float
 
     def __post_init__(self):
+        _vector_tuple(self, "zeta")
         _check_boundary(self.domain, self.zeta)
         _check_q(self.q)
 
@@ -123,6 +136,7 @@ class HarmonicKernel:
     n: int
 
     def __post_init__(self):
+        _vector_tuple(self, "y")
         if self.n < 3:
             raise FunctionError("harmonic kernel requires n >= 3")
         if len(self.y) != self.n:

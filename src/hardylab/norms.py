@@ -95,6 +95,7 @@ class OpenBall:
     radius: float
 
     def __post_init__(self):
+        fn._vector_tuple(self, "center")
         _check_radius(self.radius)
 
     def describe(self):
@@ -122,6 +123,7 @@ class CapSurface:
     complement: bool = False
 
     def __post_init__(self):
+        fn._vector_tuple(self, "center")
         _check_radius(self.radius)
         if len(self.center) != self.n:
             raise NormError(f"cap center has {len(self.center)} coordinates, "
@@ -348,36 +350,63 @@ def _harmonic_integral(fspec, ps, surface, eps):
     return quad.integrate_real_zonal(G, n, u_hi=u_hi), R ** (n - 1)
 
 
+# Exact (fspec, surface, x, p) results kept per process, oldest dropped first.
+EXACT_MEMO_ENTRIES = 4096
+_exact_memo = {}
+
+
+def _exact_integrals(integral, fspec, ps, surface, x):
+    """``integral``'s (IntegralEstimate, flag) per exponent, each integrated
+    once per process: the exponents met before at (fspec, surface, x) are
+    read from the memo, and one rule and one evaluation of |f| serve the
+    rest.  Each row of ``_powers`` and of the reduction is computed alone,
+    so a result does not depend on the exponents integrated beside it."""
+    found = {p: _exact_memo.get((fspec, surface, x, p)) for p in ps}
+    missing = [p for p, hit in found.items() if hit is None]
+    if missing:
+        ests, factor = integral(fspec, missing, surface, x)
+        if isinstance(ests, quad.IntegralEstimate):  # empty region: nothing evaluated
+            ests = [ests] * len(missing)
+        for p, est in zip(missing, ests):
+            est = replace(est, value=est.value * factor, stderr=est.stderr * factor)
+            found[p] = _exact_memo[(fspec, surface, x, p)] = \
+                (est, "overflow" if est.overflowed else "")
+            if len(_exact_memo) > EXACT_MEMO_ENTRIES:
+                del _exact_memo[next(iter(_exact_memo))]
+    return [found[p] for p in ps]
+
+
 def point_integrals(fspec, ps, surface, xval, cfg, k=0):
     """Surface integrals of |f|^p at one grid point for every exponent in
     ``ps``: one rule and one evaluation of |f|, shared by all of them.
 
     Returns one (IntegralEstimate, flag) per exponent, each equal to
-    ``point_integral`` at that exponent.
+    ``point_integral`` at that exponent.  The exact paths (harmonic, zonal
+    and disk chart) depend on neither the seed nor ``k``, so each of their
+    results is integrated once per process and kept in a memo of at most
+    EXACT_MEMO_ENTRIES results keyed by (fspec, surface, x, p); ``cfg``
+    only picks the path.  Monte Carlo results, which are seeded, and points
+    that raise are never kept.
     """
     x = float(xval)
-    guarded = False
     if isinstance(surface, RealLevelSurface):
-        ests, factor = _harmonic_integral(fspec, ps, surface, x)
-    elif _zonal_ok(fspec, surface, cfg):
-        ests, factor = _zonal_integral(fspec, ps, surface, x)
-    elif _chart_ok(fspec, surface, cfg):
-        ests, factor = _chart_integral(fspec, ps, surface, x)
-    elif isinstance(surface, LevelSurface):
-        ests, factor = _level_mc(fspec, ps, surface, x, cfg, _point_seed(cfg, k)), 1.0
+        return _exact_integrals(_harmonic_integral, fspec, ps, surface, x)
+    if _zonal_ok(fspec, surface, cfg):
+        return _exact_integrals(_zonal_integral, fspec, ps, surface, x)
+    if _chart_ok(fspec, surface, cfg):
+        return _exact_integrals(_chart_integral, fspec, ps, surface, x)
+    guarded = False
+    if isinstance(surface, LevelSurface):
+        ests = _level_mc(fspec, ps, surface, x, cfg, _point_seed(cfg, k))
     elif isinstance(surface, (SphereSurface, CapSurface)):
-        ests, factor = _sphere_mc(fspec, ps, surface, x, cfg, _point_seed(cfg, k)), 1.0
+        ests = _sphere_mc(fspec, ps, surface, x, cfg, _point_seed(cfg, k))
         guarded = True
     else:
         raise NormError(f"unknown surface {surface!r}")
     if isinstance(ests, quad.IntegralEstimate):  # empty region: nothing evaluated
         ests = [ests] * len(ps)
-    out = []
-    for est in ests:
-        est = replace(est, value=est.value * factor, stderr=est.stderr * factor)
-        flag = "overflow" if est.overflowed else (_mc_guard(est, x) if guarded else "")
-        out.append((est, flag))
-    return out
+    return [(est, "overflow" if est.overflowed else (_mc_guard(est, x) if guarded else ""))
+            for est in ests]
 
 
 def point_integral(fspec, p, surface, xval, cfg, k=0):
