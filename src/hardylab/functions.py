@@ -40,12 +40,17 @@ class Poly:
     terms: tuple
     n: int = 2
 
+    def __post_init__(self):
+        object.__setattr__(self, "terms",
+                           tuple((c, tuple(exps)) for c, exps in self.terms))
+
 
 def _vector_tuple(obj, name):
     """Store the vector field ``name`` of a frozen dataclass, given as any
     sequence (an array among them), as the tuple of its elements: the object
     then hashes, as the memo of ``norms.point_integrals`` needs, and
-    describes as before."""
+    describes as before.  ``Poly`` and ``Sum`` store their terms the same
+    way."""
     object.__setattr__(obj, name, tuple(getattr(obj, name)))
 
 
@@ -149,6 +154,9 @@ class Sum:
     """Linear combination sum_k c_k * f_k; terms ((c_k, spec_k), ...)."""
 
     terms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple((c, s) for c, s in self.terms))
 
 
 def ambient_dim(spec):

@@ -111,6 +111,7 @@ def test_restricted_chart_8_and_10_node_rules_agree(monkeypatch):
     monkeypatch.setattr(quad, "ZONAL_RADIAL_NODES", 10)
     monkeypatch.setattr(quad, "ZONAL_ANGULAR_NODES", 10)
     quad._zonal_calibration.cache_clear()
+    norms._exact_memo.clear()  # else the 8-node results are read back
     try:
         ten = _restricted_scans()
     finally:  # no 10-node rule outlives the test

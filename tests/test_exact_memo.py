@@ -154,6 +154,21 @@ def test_an_array_built_harmonic_pole_and_ball_integrate_as_tuples():
     assert norms.point_integral(H3, 1.5, tuple_surface, 0.05, DET) == from_array
 
 
+@pytest.mark.parametrize("make", [
+    lambda seq: fn.Poly(seq([(3.0, seq([0, 0])), (1.0, seq([2, 0]))]), 2),
+    lambda seq: fn.Sum(seq([(0.5, fn.Cauchy(E1)), (1.0, fn.Const(1.0, 2))])),
+], ids=["poly", "sum"])
+def test_list_built_terms_integrate_as_the_tuple_built_ones(make):
+    list_spec, tuple_spec = make(list), make(tuple)
+    assert list_spec == tuple_spec and hash(list_spec) == hash(tuple_spec)
+    assert fn.describe(list_spec) == fn.describe(tuple_spec)
+    surface = norms.SphereSurface(2)
+    from_list = norms.point_integral(list_spec, 2.0, surface, 0.9, DET)
+    assert from_list[0].method == "zonal"
+    norms._exact_memo.clear()
+    assert norms.point_integral(tuple_spec, 2.0, surface, 0.9, DET) == from_list
+
+
 def _rows(seed):
     return [row for cid in (1, 7) for row in acceptance.CRITERIA[cid](seed).rows]
 

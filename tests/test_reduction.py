@@ -144,6 +144,7 @@ def test_point_integrals_equal_point_integral(name):
     ladder = norms.point_integrals(fspec, ps, surface, x, cfg, k=3)
     assert len(ladder) == len(ps)
     for pj, (est, flag) in zip(ps, ladder):
+        norms._exact_memo.clear()  # integrate the exponent alone, not read it back
         one, one_flag = norms.point_integral(fspec, pj, surface, x, cfg, k=3)
         assert (est.value, est.stderr, est.count, est.method, flag) == \
             (one.value, one.stderr, one.count, one.method, one_flag)
@@ -152,6 +153,7 @@ def test_point_integrals_equal_point_integral(name):
 def assert_scans_equal(ladder, ps, fspec, grid, surface, cfg):
     assert [sc.p for sc in ladder] == list(ps)
     for pj, sc in zip(ps, ladder):
+        norms._exact_memo.clear()  # integrate the exponent alone, not read it back
         one = norms.scan(fspec, pj, grid, surface, cfg)
         assert np.array_equal(sc.values, one.values, equal_nan=True)
         assert np.array_equal(sc.stderrs, one.stderrs, equal_nan=True)
