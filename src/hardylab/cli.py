@@ -189,7 +189,7 @@ def build_parser():
     common(p, plot_data=True)
     p.add_argument("--f", required=True)
     p.add_argument("--p", type=above("p", 0), required=True)
-    p.add_argument("--domain", default="ball:n=2")
+    p.add_argument("--domain", default=None, help="level scans (default ball:n=2)")
     p.add_argument("--surface", choices=["sphere", "level"], default="sphere")
     p.add_argument("--kmin", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
@@ -391,17 +391,19 @@ def _dispatch(args, file_cfg):
 
     if args.command == "scan":
         fspec = fn.parse_function(args.f)
-        domain = parse_domain(args.domain)
+        domain = parse_domain(args.domain or "ball:n=2")
         if args.surface == "level":
             if args.count is not None and domain.warps:
                 raise UsageError(f"--count: a level scan of {domain.describe()} "
                                  f"takes the thin shell, which does not read it")
-            grid = _grid("level", args, norms.LEVEL_GRID)
-            sc = norms.level_scan_domain(fspec, args.p, domain, grid, cfg)
+            surface = norms.LevelSurface(domain)
+        elif args.domain is not None:
+            raise UsageError("--domain: a sphere scan does not read it; "
+                             "pass --surface level")
         else:
             surface = norms.SphereSurface(fn.ambient_dim(fspec))
-            grid = _grid("radial", args, norms._default_grid(fspec, surface, cfg))
-            sc = norms.scan(fspec, args.p, grid, surface, cfg)
+        default = norms._default_grid(fspec, surface, cfg)
+        sc = norms.scan(fspec, args.p, _grid(default.kind, args, default), surface, cfg)
         return _scan_exit(args, sc, seed)
 
     if args.command == "local":
@@ -525,6 +527,9 @@ def _run_lemma(args, cfg):
         raise UsageError(f"lemma {args.id} needs --n >= {MIN_N[args.id]}")
     if "domain" in given:
         given["domain"] = parse_domain(given["domain"])
+        if given["domain"].n < 2:
+            raise UsageError(f"lemma {args.id} needs a --domain in C^n, n >= 2, "
+                             f"not {given['domain'].describe()}")
         if given["domain"].warps:
             raise UsageError(f"lemma {args.id} --domain "
                              f"{given['domain'].describe()}: its level sets do "

@@ -89,7 +89,6 @@ def verify_lemma_2_2(n=2, q=1.5, cfg=None):
     power-divergent beyond), log f_zeta in every H^p, and the power variant
     carrying threshold q.
     """
-    cfg = cfg or norms.QuadConfig()
     grid = norms.ApproachGrid("radial", 4, 20)
     t0 = time.time()
     zeta = _e1(n)
@@ -156,7 +155,6 @@ def verify_local_bound(n=2, cfg=None):
     1 - Re<z, zeta> = |z - zeta|^2 / 2, which is at least 0.5^2 / 2 off the
     open cap and equal to it on the rim, so alpha = 0.5^2 / 2.
     """
-    cfg = cfg or norms.QuadConfig()
     grid = norms.ApproachGrid("radial", 4, 20)
     t0 = time.time()
     zeta = _e1(n)
@@ -183,7 +181,6 @@ def verify_lemma_3_1(lam_kind="rescaled", cfg=None):
     V = B(zeta, 0.2), zeta = (1, 0), and reports the empirical constant
     kappa = sup_V^lambda / sup_U^rho.
     """
-    cfg = cfg or norms.QuadConfig()
     domain = parse_domain("ellipsoid:a=1,2")
     zeta = (1.0 + 0j, 0j)
     p = 1.5
@@ -276,19 +273,17 @@ def verify_lemma_4_2(domain=None, cfg=None):
     """Reciprocal Levi polynomial at zeta = e_1 on an ellipsoid in C^n: inside
     H^p for p < n, divergent at p = 2n - 1; also brackets the critical
     exponent."""
-    cfg = cfg or norms.QuadConfig()
     domain = domain or parse_domain("ellipsoid:a=1,2")
-    grid = norms.LEVEL_GRID
     n = domain.n
     zeta = _e1(n)
     f = fn.LeviReciprocal(domain, zeta)
     t0 = time.time()
 
     def member(p):
-        return norms.membership_verdict(f, p, norms.LevelSurface(domain), grid, cfg)
+        return norms.membership_verdict(f, p, norms.LevelSurface(domain), cfg=cfg)
 
     m15, m3 = norms.membership_verdicts(f, (1.5, float(2 * n - 1)),
-                                        norms.LevelSurface(domain), grid, cfg)
+                                        norms.LevelSurface(domain), cfg=cfg)
     cases = [_case("1/Q below threshold", 1.5, "In", m15),
              _case("1/Q at 2n-1", 2 * n - 1, "Out", m3)]
     lo, hi = bisect_critical_exponent(member, 1.5, 2.0 * n - 1.0)
@@ -299,18 +294,16 @@ def verify_lemma_4_2(domain=None, cfg=None):
 def verify_lemma_4_3(domain=None, q=1.5, cfg=None):
     """Levi-power function h_q at zeta = e_1 in C^n: inside H^p for p < q
     globally, divergent at p = (2n-1)q/n when restricted to U = B(zeta, 0.4)."""
-    cfg = cfg or norms.QuadConfig()
     domain = domain or parse_domain("ellipsoid:a=1,2")
-    grid = norms.LEVEL_GRID
     n = domain.n
     zeta = _e1(n)
     h = fn.LeviPower(domain, zeta, q)
     t0 = time.time()
-    m_in = norms.membership_verdict(h, 0.8 * q, norms.LevelSurface(domain), grid, cfg)
+    m_in = norms.membership_verdict(h, 0.8 * q, norms.LevelSurface(domain), cfg=cfg)
     p_out = (2 * n - 1) * q / n
     U = norms.OpenBall(zeta, 0.4)
-    m_out = norms.membership_verdict(h, p_out,
-                                     norms.LevelSurface(domain, restrict=U), grid, cfg)
+    m_out = norms.membership_verdict(h, p_out, norms.LevelSurface(domain, restrict=U),
+                                     cfg=cfg)
     cases = [
         _case("levi power below q", 0.8 * q, "In", m_in),
         _case("levi power at (2n-1)q/n on U", p_out, "Out", m_out),
@@ -321,8 +314,7 @@ def verify_lemma_4_3(domain=None, q=1.5, cfg=None):
 def verify_lemma_5_1(n=3, cfg=None):
     """Harmonic kernel threshold (n-1)/(n-2), global and localized to
     U = B(y, 0.4) at the pole y = (0, ..., 0, 1)."""
-    cfg = cfg or norms.QuadConfig()
-    grid = norms.LEVEL_GRID
+    grid = norms.LEVEL_GRID  # k <= 12, not the real level spheres' default k <= 24
     y = (0.0,) * (n - 1) + (1.0,)
     t = (n - 1.0) / (n - 2.0)
     t0 = time.time()

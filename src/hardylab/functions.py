@@ -242,8 +242,10 @@ def evaluate(spec, Z):
         n = spec.domain.n
         return np.exp(-(n / spec.q) * np.log(_levi_value(spec, Z)))
     if isinstance(spec, HarmonicKernel):
-        X = np.asarray(Z, dtype=float)
-        d = X - np.asarray(spec.y, dtype=float)
+        if np.any(np.imag(Z) != 0.0):
+            raise FunctionError("harmonic kernel evaluated off R^n: a point "
+                                "has a nonzero imaginary part")
+        d = np.real(Z) - np.asarray(spec.y, dtype=float)
         dist = np.linalg.norm(d, axis=-1)
         if np.any(dist == 0.0):
             raise FunctionError("harmonic kernel evaluated at its singularity")

@@ -71,9 +71,10 @@ class ApproachGrid:
         return LEVEL_EPS0 * 2.0 ** (-k.astype(float))
 
 
-# defaults: deep grids for the deterministic paths, shallow for MC-backed
-# scans; k_max 29 keeps 1 - r >= 1e-9 (2^-30 would cross the floor), and the
-# harmonic depth certifies boundedness at exponents hugging the threshold
+# defaults, one per surface (``_default_grid``): deep grids for the
+# deterministic paths, shallow for MC-backed scans; k_max 29 keeps
+# 1 - r >= 1e-9 (2^-30 would cross the floor), and the harmonic depth
+# certifies boundedness at exponents hugging the threshold
 RADIAL_ZONAL = ApproachGrid("radial", 2, 29)
 RADIAL_MC = ApproachGrid("radial", 2, 12)
 LEVEL_GRID = ApproachGrid("level", 0, 12)
@@ -195,10 +196,32 @@ def _region(surface):
     return None, False
 
 
+def _surface_dim(surface):
+    """n of the C^n or R^n that holds the surface."""
+    return surface.domain.n if isinstance(surface, LevelSurface) else surface.n
+
+
+def _check_surface(fspec, surface):
+    """Refuse f on a surface it is not defined on: a pole of f in another
+    dimension than the surface's, a harmonic kernel on a complex surface,
+    or any other function on the real level spheres."""
+    n = _surface_dim(surface)
+    for pole in fn.singular_points(fspec):
+        if len(pole) != n:
+            raise NormError(f"{fn.describe(fspec)} has a pole in dimension "
+                            f"{len(pole)}, the surface {surface.describe()} "
+                            f"lies in dimension {n}")
+    if isinstance(fspec, fn.HarmonicKernel) != isinstance(surface, RealLevelSurface):
+        raise NormError(f"{fn.describe(fspec)} on {surface.describe()}: the "
+                        f"harmonic kernel, and only it, is scanned on the real "
+                        f"level spheres")
+
+
 def _zonal_ok(fspec, surface, cfg):
     """Whether point_integral takes the deterministic zonal rule on ``surface``:
-    f is zonal, fast paths are on, the surface is a sphere up to scale, and
-    any cap or restriction is centered on the zonal center."""
+    f is zonal, fast paths are on, the surface is a sphere up to scale in
+    C^n, n >= 2 (``quadrature.integrate_zonal`` needs n >= 2), and any cap
+    or restriction is centered on the zonal center."""
     zc = fn.zonal_center(fspec)
     if zc is None or cfg.force_mc:
         return False
@@ -206,6 +229,8 @@ def _zonal_ok(fspec, surface, cfg):
         if surface.domain.warps or not surface.domain.ball:
             return False
     elif not isinstance(surface, (SphereSurface, CapSurface)):
+        return False
+    if _surface_dim(surface) < 2:
         return False
     ball, _ = _region(surface)
     if ball is None:
@@ -284,13 +309,12 @@ def _zonal_integral(fspec, ps, surface, x):
         factor = R ** (2 * surface.domain.n - 1)
     ball, complement = _region(surface)
     c = -1.0 if ball is None else (rho * rho + 1.0 - ball.radius ** 2) / (2.0 * rho)
-    n = surface.domain.n if isinstance(surface, LevelSurface) else surface.n
     gt = lambda lam: _powers(fn.zonal_abs(fspec, R * lam), ps)
     if not -1.0 < c < 1.0:  # the ball holds all of the sphere or none of it
         if (c <= -1.0) == complement:  # the region is empty
             return quad.IntegralEstimate(0.0, 0.0, 0, "exact-empty"), factor
         c, complement = -1.0, False  # the whole sphere: one cached rule
-    return quad.integrate_zonal(gt, n, c, complement,
+    return quad.integrate_zonal(gt, _surface_dim(surface), c, complement,
                                 even=fn.conjugation_even(fspec)), factor
 
 
@@ -333,8 +357,6 @@ def _level_mc(fspec, ps, surface, eps, cfg, seed):
 
 def _harmonic_integral(fspec, ps, surface, eps):
     """(estimates, area factor) of a harmonic kernel on a real level sphere."""
-    if not isinstance(fspec, fn.HarmonicKernel):
-        raise NormError("real level scans expect a harmonic kernel spec")
     n = surface.n
     R = math.sqrt(1.0 - eps)
     gap = eps / (1.0 + R)  # 1 - R without cancellation
@@ -474,13 +496,19 @@ class NormScan:
 def scans(fspec, ps, grid, surface, cfg=None):
     """One scan of |f|^p along the grid per exponent in ``ps``, each equal to
     ``scan`` at that exponent; every grid point builds one rule and evaluates
-    |f| once for all the exponents still live there.
+    |f| once for all the exponents still live there.  A grid of None is the
+    surface's default (``_default_grid``).
 
-    A failed point (a ``failed:`` flag such as the MC variance guard) ends
-    the scan of its exponent and marks the rest of that grid ``truncated``;
-    a package error raised at a point fails and truncates every live scan.
+    f is checked against the surface first (``_check_surface``), which
+    raises NormError.  A failed point (a ``failed:`` flag such as the MC
+    variance guard) ends the scan of its exponent and marks the rest of that
+    grid ``truncated``; a package error raised at a point fails and
+    truncates every live scan.
     """
     cfg = cfg or QuadConfig()
+    _check_surface(fspec, surface)
+    if grid is None:
+        grid = _default_grid(fspec, surface, cfg)
     xs = grid.values()
     n = len(xs)
     out = [NormScan(p=p, grid=grid, surface=surface, fspec=fspec,
@@ -665,9 +693,6 @@ def membership_from_verdict(v):
 def membership_verdicts(fspec, ps, surface, grid=None, cfg=None):
     """In/Out/Inconclusive decisions for f against the Hardy-type spaces of
     every exponent in ``ps``, from one ``scans`` call."""
-    cfg = cfg or QuadConfig()
-    if grid is None:
-        grid = _default_grid(fspec, surface, cfg)
     out = []
     for sc in scans(fspec, ps, grid, surface, cfg):
         v = classify(sc)
@@ -681,18 +706,18 @@ def membership_verdict(fspec, p, surface, grid=None, cfg=None):
 
 
 def _default_grid(fspec, surface, cfg):
-    if isinstance(surface, (LevelSurface, RealLevelSurface)):
+    """The grid ``scans`` takes on ``surface`` when given none."""
+    if isinstance(surface, RealLevelSurface):
+        return LEVEL_HARMONIC
+    if isinstance(surface, LevelSurface):
         return LEVEL_GRID
     return RADIAL_ZONAL if _zonal_ok(fspec, surface, cfg) else RADIAL_MC
 
 
 def local_scan_ball(fspec, p, center, radius, grid=None, cfg=None, complement=False):
     """Radial scan restricted to the cap G = S cap B(center, radius)."""
-    cfg = cfg or QuadConfig()
     surface = CapSurface(fn.ambient_dim(fspec), tuple(complex(c) for c in center),
                          float(radius), complement=complement)
-    if grid is None:
-        grid = _default_grid(fspec, surface, cfg)
     return scan(fspec, p, grid, surface, cfg)
 
 
@@ -701,7 +726,7 @@ def level_scan_domain(fspec, p, domain, grid=None, cfg=None, restrict=None):
     restricted to an open set U.  ``point_integrals`` picks each level's
     rule from the domain: the zonal rule on a ball (``_zonal_ok``), the disk
     chart for a Levi kernel in C^2 (``_chart_ok``), else ``_level_mc``."""
-    return scan(fspec, p, grid or LEVEL_GRID, LevelSurface(domain, restrict), cfg)
+    return scan(fspec, p, grid, LevelSurface(domain, restrict), cfg)
 
 
 def harmonic_scan(y, p, n, grid=None, cfg=None, restrict=None):
@@ -709,8 +734,7 @@ def harmonic_scan(y, p, n, grid=None, cfg=None, restrict=None):
     if n < 3:
         raise NormError("harmonic scans require n >= 3")
     fspec = fn.HarmonicKernel(tuple(float(v) for v in y), n)
-    surface = RealLevelSurface(n, restrict=restrict)
-    return scan(fspec, p, grid or LEVEL_HARMONIC, surface, cfg)
+    return scan(fspec, p, grid, RealLevelSurface(n, restrict=restrict), cfg)
 
 
 def seminorm_estimate(sc):
@@ -724,11 +748,7 @@ def seminorm_estimate(sc):
 def hardy_seminorm(fspec, p, grid=None, cfg=None):
     """sup over the grid of I^{1/p} on the unit sphere; raises if the scan
     diverges."""
-    cfg = cfg or QuadConfig()
-    surface = SphereSurface(fn.ambient_dim(fspec))
-    if grid is None:
-        grid = _default_grid(fspec, surface, cfg)
-    sc = scan(fspec, p, grid, surface, cfg)
+    sc = scan(fspec, p, grid, SphereSurface(fn.ambient_dim(fspec)), cfg)
     v = classify(sc)
     if v.divergent:
         raise NotInSpaceError(f"not in H^p: {sc.describe()} classified {v.klass}")
@@ -795,19 +815,16 @@ def intersection_metric(f, g, mspec, grid=None, cfg=None):
     The whole ladder is one ``scans`` call: each grid point builds its rule
     and evaluates f - g once for every exponent.
     """
-    cfg = cfg or QuadConfig()
     diff = fn.subtract(f, g)
     p_values = mspec.p_list()
     tail = 2.0 ** (-len(p_values))
     if fn.is_zero(diff):
         return MetricResult(0.0, tail, ())
-    surface = SphereSurface(fn.ambient_dim(diff))
-    if grid is None:
-        grid = _default_grid(diff, surface, cfg)
     value = 0.0
     uncertainty = tail
     terms = []
-    ladder = scans(diff, [float(pj) for pj in p_values], grid, surface, cfg)
+    ladder = scans(diff, [float(pj) for pj in p_values], grid,
+                   SphereSurface(fn.ambient_dim(diff)), cfg)
     for j, (pj, sc) in enumerate(zip(p_values, ladder), start=1):
         v = classify(sc)
         if sc.has_overflow():

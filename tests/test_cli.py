@@ -23,6 +23,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["norm", "--f", "const:1", "--p", "2", "--plot-data", "x.txt"],
         ["norm", "--f", "const:1", "--p", "2", "--domain", "ball:n=2"],
+        ["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--domain", "ellipsoid:a=1,2"],
         ["levi-check", "--pairs", "2000", "--plot-data", "x.txt"],
         ["levi-check", "--pairs", "2000", "--count", "2000"],
         ["lemma", "--id", "2.5", "--plot-data", "x.txt"],

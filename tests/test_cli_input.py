@@ -8,6 +8,7 @@ import pytest
 
 from hardylab import cli
 from hardylab import geometry
+from hardylab import norms
 
 BAD_FUNCTIONS = ["power:q=0;zeta=1,0", "cauchy:zeta=2,0", "power:q=-2;zeta=1,0",
                  "harmonic:n=2;y=1,0",
@@ -365,3 +366,48 @@ def test_lemma_dimension_below_two_is_a_usage_error(lemma, n, monkeypatch, capsy
     assert cli.run(["lemma", "--id", lemma, "--n", n]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"lemma {lemma} needs --n >= 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lemma", ["4.2", "4.3"])
+def test_lemma_domain_below_two_is_a_usage_error(lemma, monkeypatch, capsys):
+    name = cli.LEMMAS[lemma][0]
+    monkeypatch.setattr(cli.ex, name, lambda **kw: pytest.fail(f"{name} ran"))
+    assert cli.run(["lemma", "--id", lemma, "--domain", "ball:n=1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"lemma {lemma} needs a --domain in C^n, n >= 2" in err
+    assert "Traceback" not in err
+
+
+HARMONIC = "harmonic:n=3;y=1,0,0"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # a pole of another dimension than the level sets'
+    ["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--surface", "level",
+     "--domain", "ball:n=3"],
+    ["scan", "--f", "cauchy:zeta=1,0", "--p", "2", "--surface", "level",
+     "--domain", "ellipsoid:a=1,2,3"],
+    # a harmonic kernel on the complex sphere or a cap of it
+    ["scan", "--f", HARMONIC, "--p", "2"],
+    ["norm", "--f", HARMONIC, "--p", "2"],
+    ["local", "--f", HARMONIC, "--p", "2", "--center", "1,0,0", "--radius", "0.5"],
+    # a sum of harmonic kernels evaluated at complex points
+    ["metric", "--f", HARMONIC, "--g", "harmonic:n=3;y=0,1,0", "--terms", "2"],
+], ids=["pole-C2-ball-C3", "pole-C2-ellipsoid-C3", "harmonic-scan", "harmonic-norm",
+        "harmonic-local", "harmonic-metric"])
+def test_a_function_off_its_surface_is_an_error(argv, capsys):
+    assert cli.run(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--f", "cauchy:zeta=1", "--p", "0.5"],
+    ["local", "--f", "cauchy:zeta=1", "--p", "0.5", "--center", "1", "--radius", "0.5"],
+], ids=["scan", "local"])
+def test_the_unit_disk_scans_without_a_failed_point(argv, tmp_path):
+    out = tmp_path / "disk.csv"
+    assert cli.run([*argv, "--out", str(out)]) == cli.EXIT_OK
+    labels = [line.split(",")[2] for line in out.read_text().splitlines()[2:]]
+    assert labels == ["point"] * len(norms.RADIAL_MC.ks())
