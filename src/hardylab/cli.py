@@ -272,12 +272,12 @@ def _quad_config(args, file_cfg):
     return cfg
 
 
-def _grid(kind, args, default):
+def _grid(args, default):
     """The scan grid of --kmin/--kmax; a bound left unset is the default's.
     Bounds the grid refuses are a usage error."""
     try:
         return norms.ApproachGrid(
-            kind, default.k_min if args.kmin is None else args.kmin,
+            default.kind, default.k_min if args.kmin is None else args.kmin,
             default.k_max if args.kmax is None else args.kmax)
     except norms.NormError as exc:
         raise UsageError(f"--kmin/--kmax: {exc}") from exc
@@ -402,8 +402,8 @@ def _dispatch(args, file_cfg):
                              "pass --surface level")
         else:
             surface = norms.SphereSurface(fn.ambient_dim(fspec))
-        default = norms._default_grid(fspec, surface, cfg)
-        sc = norms.scan(fspec, args.p, _grid(default.kind, args, default), surface, cfg)
+        grid = _grid(args, norms._default_grid(fspec, surface, cfg))
+        sc = norms.scan(fspec, args.p, grid, surface, cfg)
         return _scan_exit(args, sc, seed)
 
     if args.command == "local":
